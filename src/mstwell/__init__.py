@@ -35,7 +35,6 @@ from .greens import (
     green_free,
     green_region,
     propagate_kernel,
-    region_of,
 )
 from .grid import (
     GridConfigError,
@@ -47,17 +46,7 @@ from .grid import (
     grid_for_scenario,
     initial_cutoff_packet,
 )
-from .model import (
-    ChannelKind,
-    ChannelWaveNumber,
-    PhysicalScales,
-    PotentialSpec,
-    branch_sqrt,
-    make_scales,
-    quartic_root,
-    velocity,
-    wave_number,
-)
+from .model import PotentialSpec, branch_sqrt, quartic_root
 from .packet import (
     PacketSpec,
     SpectralAmplitudes,
@@ -65,7 +54,6 @@ from .packet import (
     cutoff_tail_mass,
     gaussian_weight,
     spectral_amplitudes,
-    transverse_factor,
     validity_report,
 )
 from .quadrature import (
@@ -85,8 +73,11 @@ from .scattering import (
     closed_amplitudes,
     mst_compose,
     probabilities,
+    region_of,
+    region_waves,
     step_amplitudes,
     step_t_matrices,
+    wave_at,
 )
 
 __version__ = "0.1.0"

@@ -36,7 +36,7 @@ from .model import PotentialSpec
 from .packet import PacketSpec
 from .presets import preset
 from .quadrature import QuadratureError, QuadratureSpec
-from .scattering import amplitude_table, probabilities
+from .scattering import amplitude_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -218,19 +218,22 @@ def cmd_amplitudes(cfg, e_range=None):
     if np.any(e <= 0):
         raise ConfigError("amplitude sweep energies must be positive")
     t, tp, rp, r, _ = amplitude_table(e, potential)
+    # below the exit threshold the transmitted channel carries no flux
+    closed = e <= potential.delta_tilde
+    t_prob = np.where(closed, 0.0, np.abs(t) ** 2)
+    r_prob = np.where(closed, 1.0, np.abs(r) ** 2)
+    resid = np.abs(t_prob + r_prob - 1.0)
     lines = _metadata_lines(cfg, "amplitudes")
     lines.append(
         "E_tilde,t_re,t_im,tprime_re,tprime_im,rprime_re,rprime_im,"
         "r_re,r_im,T_prob,R_prob,unitarity_residual"
     )
     for i, ev in enumerate(e):
-        probs = probabilities(float(ev), potential)
-        resid = abs(probs["T_prob"] + probs["R_prob"] - 1.0)
         row = [
             ev,
             t[i].real, t[i].imag, tp[i].real, tp[i].imag,
             rp[i].real, rp[i].imag, r[i].real, r[i].imag,
-            probs["T_prob"], probs["R_prob"], resid,
+            t_prob[i], r_prob[i], resid[i],
         ]
         lines.append(",".join(_fmt(v) for v in row))
     return lines, EXIT_OK
@@ -295,17 +298,20 @@ def cmd_dwell(cfg, u_range=None):
         "U_tilde,relative_dwell_asymptotic,tau_fwd,tau_bwd,"
         "tau_interference,tau_total"
     )
+    code = EXIT_OK
     for u_t in u_vals:
         potential = PotentialSpec(u_tilde=float(u_t), delta_tilde=delta)
         rel = relative_dwell_asymptotic(packet.e_perp_tilde, potential)
-        breakdown = dwell_total(packet, potential, quad, validate=False)
+        breakdown = dwell_total(packet, potential, quad)
         row = [
             u_t, rel,
             breakdown.tau_fwd, breakdown.tau_bwd,
             breakdown.tau_interference, breakdown.tau_total,
         ]
+        if not (breakdown.converged and np.all(np.isfinite(row))):
+            code = EXIT_NUMERICAL
         lines.append(",".join(_fmt(v) for v in row))
-    return lines, EXIT_OK
+    return lines, code
 
 
 def cmd_oracle_compare(cfg, scenario_name="custom"):
@@ -346,7 +352,7 @@ def cmd_oracle_compare(cfg, scenario_name="custom"):
         "scenario": scenario_name,
         "grid": {
             "x_min": grid.x_min, "x_max": grid.x_max,
-            "dx": grid.dx, "dt": grid.dt, "boundary": grid.boundary,
+            "dx": grid.dx, "dt": grid.dt, "boundary": "hard_wall",
         },
         "distances": distances,
         "norm_drift": oracle_field.norm_drift,

@@ -21,8 +21,8 @@ import numpy as np
 
 from .model import PotentialSpec, branch_sqrt
 from .packet import PacketSpec
-from .quadrature import QuadratureSpec, integrate_spectral
-from .scattering import amplitude_table
+from .quadrature import OSC_ALLOWANCE, QuadratureSpec, integrate_spectral
+from .scattering import region_waves, wave_at
 
 
 def _expi_ratio(c):
@@ -39,30 +39,24 @@ def _inner_pieces(e_tilde, potential: PotentialSpec):
     """Closed x-integrated quantities at energy e (vectorized).
 
     Returns (t_of_e, kernel):
-      t_of_e  = Int_0^1 |phi(x)|^2 dx / |v_u|   (a time)
-      kernel  = Int_0^1 phi(x)^2 dx / v_u       (complex, weights psi_> psi_<*)
-    with phi = t' e^{i k_u x} + r' e^{-i k_u x}.
+      t_of_e  = Int_0^1 |psi_u(x)|^2 dx / (2u)   (a time)
+      kernel  = Int_0^1 psi_u(x)^2 dx / (2u)     (complex, weights psi_> psi_<*)
+    with psi_u the inner region wave; each term of |psi_u|^2 and psi_u^2 is
+    one exponential, integrated over 0 < x < 1 in closed form.
     """
-    e = np.asarray(e_tilde, dtype=float)
-    ku = branch_sqrt(e - potential.u_tilde)
-    _, tp, rp, _, _ = amplitude_table(e, potential)
-
-    dku = ku - np.conj(ku)
-    sku = ku + np.conj(ku)
-    abs_phi2 = (
-        np.abs(tp) ** 2 * _expi_ratio(1j * dku)
-        + np.abs(rp) ** 2 * _expi_ratio(-1j * dku)
-        + 2.0 * np.real(tp * np.conj(rp) * _expi_ratio(1j * sku))
+    u = np.sqrt(np.asarray(e_tilde, dtype=float))
+    c1, th1, c2, th2, _ = region_waves("inside", u, potential)
+    abs_psi2 = (
+        np.abs(c1) ** 2 * _expi_ratio(1j * (th1 - np.conj(th1)))
+        + np.abs(c2) ** 2 * _expi_ratio(1j * (th2 - np.conj(th2)))
+        + 2.0 * np.real(c1 * np.conj(c2) * _expi_ratio(1j * (th1 - np.conj(th2))))
     )
-    t_of_e = np.real(abs_phi2) / (2.0 * np.abs(ku))
-
-    phi2 = (
-        tp * tp * _expi_ratio(2j * ku)
-        + rp * rp * _expi_ratio(-2j * ku)
-        + 2.0 * tp * rp
+    psi2 = (
+        c1 * c1 * _expi_ratio(2j * th1)
+        + c2 * c2 * _expi_ratio(2j * th2)
+        + 2.0 * c1 * c2 * _expi_ratio(1j * (th1 + th2))
     )
-    kernel = phi2 / (2.0 * ku)
-    return t_of_e, kernel
+    return np.real(abs_psi2) / (2.0 * u), psi2 / (2.0 * u)
 
 
 def dwell_energy_density(e_tilde, potential: PotentialSpec) -> dict:
@@ -73,15 +67,13 @@ def dwell_energy_density(e_tilde, potential: PotentialSpec) -> dict:
 
 def inner_integrals_brute(e_tilde, potential: PotentialSpec, n=400):
     """Direct x-quadrature of the inner-region integrals (validation path)."""
-    e = float(e_tilde)
-    ku = branch_sqrt(e - potential.u_tilde)[()]
-    _, tp, rp, _, _ = (z[0] for z in amplitude_table([e], potential))
+    u = math.sqrt(float(e_tilde))
     nodes, weights = np.polynomial.legendre.leggauss(n)
     x = 0.5 * (nodes + 1.0)
     w = 0.5 * weights
-    phi = tp * np.exp(1j * ku * x) + rp * np.exp(-1j * ku * x)
-    t_of_e = float(np.sum(w * np.abs(phi) ** 2) / (2.0 * abs(ku)))
-    kernel = complex(np.sum(w * phi * phi) / (2.0 * ku))
+    psi = wave_at(region_waves("inside", u, potential), x)
+    t_of_e = float(np.sum(w * np.abs(psi) ** 2) / (2.0 * u))
+    kernel = complex(np.sum(w * psi * psi) / (2.0 * u))
     return t_of_e, kernel
 
 
@@ -103,41 +95,18 @@ class DwellBreakdown:
     tau_interference: float
     tau_total: float
     energy_density: dict
+    converged: bool  # all three energy integrals met the quadrature target
 
 
 def dwell_total(
     packet: PacketSpec,
     potential: PotentialSpec,
     quad: QuadratureSpec | None = None,
-    validate: bool = True,
 ) -> DwellBreakdown:
-    """Integrate the three dwell components over the packet's spectrum.
-
-    ``validate`` cross-checks the closed x-integrated forms against direct
-    x-quadrature at a few sampled energies before integrating.
-    """
+    """Integrate the three dwell components over the packet's spectrum."""
     if quad is None:
         quad = QuadratureSpec()
     branch = potential.branch_energies()
-
-    if validate:
-        u_lo = max(1e-3, packet.u_perp - 3.0 / packet.sigma_tilde)
-        u_hi = packet.u_perp + 3.0 / packet.sigma_tilde
-        for u in np.linspace(u_lo, u_hi, 5):
-            e = float(u * u)
-            if any(abs(e - b) < 1e-6 for b in branch):
-                continue
-            t_cl, k_cl = _inner_pieces(np.array([e]), potential)
-            t_br, k_br = inner_integrals_brute(e, potential)
-            scale = max(abs(t_br), 1e-300)
-            if abs(float(t_cl[0]) - t_br) > 1e-8 * scale:
-                raise AssertionError(
-                    f"closed x-integration disagrees with quadrature at E={e}"
-                )
-            if abs(complex(k_cl[0]) - k_br) > 1e-8 * max(abs(k_br), 1e-300):
-                raise AssertionError(
-                    f"closed interference kernel disagrees with quadrature at E={e}"
-                )
 
     def f_fwd(e):
         t_of_e, _ = _inner_pieces(e, potential)
@@ -147,27 +116,29 @@ def dwell_total(
         t_of_e, _ = _inner_pieces(e, potential)
         return t_of_e * _spectral_density(np.sqrt(e), packet, "backward")
 
-    def f_int(e):
-        _, kernel = _inner_pieces(e, potential)
-        u = np.sqrt(e)
+    def cross(u):
+        """psi_>(E) psi_<(E)* in dimensionless form, as a function of u."""
         p = packet
-        cross = (
+        return (
             p.sigma_tilde
             / (math.sqrt(2.0 * math.pi) * u)
             * np.exp(-2j * u * p.x_i_tilde)
             * np.exp(-((u - p.u_perp) ** 2) * p.sigma_tilde ** 2)
             * np.exp(-((u + p.u_perp) ** 2) * p.sigma_tilde ** 2)
         )
-        return 2.0 * np.real(kernel * cross)
+
+    def f_int(e):
+        _, kernel = _inner_pieces(e, potential)
+        return 2.0 * np.real(kernel * cross(np.sqrt(e)))
 
     r_fwd = integrate_spectral(
-        f_fwd, packet, 0.0, 2.5, branch, quad, direction="forward"
+        f_fwd, packet, 0.0, OSC_ALLOWANCE, branch, quad, direction="forward"
     )
     r_bwd = integrate_spectral(
-        f_bwd, packet, 0.0, 2.5, branch, quad, direction="backward"
+        f_bwd, packet, 0.0, OSC_ALLOWANCE, branch, quad, direction="backward"
     )
     r_int = integrate_spectral(
-        f_int, packet, 0.0, 2.0 * abs(packet.x_i_tilde) + 2.5, branch, quad,
+        f_int, packet, 0.0, 2.0 * abs(packet.x_i_tilde) + OSC_ALLOWANCE, branch, quad,
         direction="backward",
     )
 
@@ -183,7 +154,7 @@ def dwell_total(
         "e_tilde": e_tab,
         "fwd": t_tab * _spectral_density(u_tab, packet, "forward"),
         "bwd": t_tab * _spectral_density(u_tab, packet, "backward"),
-        "interference": np.asarray(f_int(e_tab)),
+        "interference": 2.0 * np.real(k_tab * cross(u_tab)),
     }
 
     return DwellBreakdown(
@@ -192,6 +163,7 @@ def dwell_total(
         tau_interference=tau_int,
         tau_total=tau_fwd + tau_bwd + tau_int,
         energy_density=energy_density,
+        converged=r_fwd.converged and r_bwd.converged and r_int.converged,
     )
 
 

@@ -17,10 +17,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import PotentialSpec, branch_sqrt, quartic_root
+from .model import PotentialSpec
 from .packet import PacketSpec, gaussian_weight
-from .quadrature import QuadratureSpec, SpectralRule, spectral_window
-from .scattering import amplitude_table
+from .quadrature import OSC_ALLOWANCE, QuadratureError, QuadratureSpec, spectral_rule
+from .scattering import region_of, region_waves, wave_at
 
 _X_CHUNK = 512
 
@@ -77,58 +77,30 @@ def _region_masks(x):
 def _region_coeffs(region, direction, u, tau, packet: PacketSpec, potential: PotentialSpec):
     """x-independent integrand pieces: (c1, theta1, c2, theta2, x_offset).
 
-    The full integrand at position x is c1*e^{i theta1 (x - x_offset)}
-    + c2*e^{i theta2 (x - x_offset)}, including the u-substitution Jacobian.
-    The backward direction conjugates amplitudes and branch roots as the
-    region formulas prescribe, leaving the time phase and weight untouched.
+    The region wave of ``region_waves`` (conjugated for the backward
+    direction) times the Gaussian weight, the x_i phase, the time phase and
+    the u-substitution Jacobian; evaluate at x with ``wave_at``.
     """
-    e = u * u
+    c1, th1, c2, th2, xoff = region_waves(region, u, potential)
     weight = gaussian_weight(u, packet, direction)
     if direction == "forward":
         phase_i = np.exp(-1j * u * packet.x_i_tilde)
     else:
+        c1, th1, c2, th2 = np.conj(c1), -np.conj(th1), np.conj(c2), -np.conj(th2)
         phase_i = np.exp(1j * u * packet.x_i_tilde)
-    base = 2.0 * np.exp(-1j * e * tau) * weight * phase_i  # 2u du / u = 2 du
-
-    if region == "left":
-        _, _, _, r, _ = amplitude_table(e, potential)
-        if direction == "forward":
-            return base, u.astype(complex), base * r, -u.astype(complex), 0.0
-        return base, -u.astype(complex), base * np.conj(r), u.astype(complex), 0.0
-
-    if region == "inside":
-        ku = branch_sqrt(e - potential.u_tilde)
-        _, tp, rp, _, _ = amplitude_table(e, potential)
-        # sqrt(v / v_u) = sqrt(u) / sqrt(k_u), fourth root fixing the branch
-        root = quartic_root(e - potential.u_tilde)
-        if direction == "forward":
-            c = base * np.sqrt(u) / root
-            return c * tp, ku, c * rp, -ku, 0.0
-        c = base * np.sqrt(u) / np.conj(root)
-        return c * np.conj(tp), -np.conj(ku), c * np.conj(rp), np.conj(ku), 0.0
-
-    if region == "right":
-        kd = branch_sqrt(e - potential.delta_tilde)
-        t, _, _, _, _ = amplitude_table(e, potential)
-        root = quartic_root(e - potential.delta_tilde)
-        zero = np.zeros_like(u, dtype=complex)
-        if direction == "forward":
-            return base * np.sqrt(u) / root * t, kd, zero, zero, 1.0
-        return base * np.sqrt(u) / np.conj(root) * np.conj(t), -np.conj(kd), zero, zero, 1.0
-
-    raise ValueError(f"unknown region {region!r}")
+    base = 2.0 * np.exp(-1j * u * u * tau) * weight * phase_i  # 2u du / u = 2 du
+    return base * c1, th1, base * c2, th2, xoff
 
 
 def _x_phase_span(region, x_abs_max, packet):
-    """Bound on the x-driven phase rate, for panel sizing.
-
-    The +2.5 covers the internal e^{2i k_u} oscillation of the amplitudes.
-    """
+    """Bound on the x-driven phase rate, for panel sizing."""
     if region == "left":
-        return x_abs_max + abs(packet.x_i_tilde) + 2.5
-    if region == "inside":
-        return 1.0 + abs(packet.x_i_tilde) + 2.5
-    return (x_abs_max - 1.0) + abs(packet.x_i_tilde) + 2.5
+        reach = x_abs_max
+    elif region == "inside":
+        reach = 1.0
+    else:
+        reach = x_abs_max - 1.0
+    return reach + abs(packet.x_i_tilde) + OSC_ALLOWANCE
 
 
 def _probe_spec(spec, packet):
@@ -145,28 +117,32 @@ def _probe_spec(spec, packet):
     return replace(spec, abs_tol=max(spec.abs_tol, spec.rel_tol * scale))
 
 
+def _refined_rule(region, direction, x_probe, x_abs_max, tau, packet, potential, spec):
+    """Rule of one (region, direction, time) component, refined at ``x_probe``.
+
+    Returns the rule, the probe's QuadResult and the integrand pieces on the
+    rule's final nodes.
+    """
+    x_span = _x_phase_span(region, x_abs_max, packet)
+    rule = spectral_rule(
+        packet, direction, potential.branch_energies(), tau, x_span,
+        _probe_spec(spec, packet),
+    )
+    probe = rule.refine_against(
+        lambda u: wave_at(_region_coeffs(region, direction, u, tau, packet, potential), x_probe)
+    )
+    return rule, probe, _region_coeffs(region, direction, rule.u, tau, packet, potential)
+
+
 def _component(region, direction, xs, tau, packet, potential, spec):
     """One spectral component for all x of a region at one time.
 
     Returns (psi values, error estimates, converged flag of the probe).
     """
-    u_perp = packet.u_perp
-    lo, hi = spectral_window(u_perp, packet.sigma_tilde, direction, spec.window_w)
-    u_breaks = [math.sqrt(b) for b in potential.branch_energies() if lo < math.sqrt(b) < hi]
-    x_span = _x_phase_span(region, float(np.max(np.abs(xs))), packet)
-
-    rule = SpectralRule(lo, hi, u_breaks, tau, x_span, _probe_spec(spec, packet))
-
     x_probe = float(xs[np.argmax(np.abs(xs))])
-
-    def probe_g(u):
-        c1, th1, c2, th2, xoff = _region_coeffs(region, direction, u, tau, packet, potential)
-        xi = x_probe - xoff
-        return c1 * np.exp(1j * th1 * xi) + c2 * np.exp(1j * th2 * xi)
-
-    probe = rule.refine_against(probe_g)
-
-    c1, th1, c2, th2, xoff = _region_coeffs(region, direction, rule.u, tau, packet, potential)
+    rule, probe, (c1, th1, c2, th2, xoff) = _refined_rule(
+        region, direction, x_probe, abs(x_probe), tau, packet, potential, spec
+    )
     xi = xs - xoff
     psi = np.empty(xs.size, dtype=complex)
     err = np.empty(xs.size, dtype=float)
@@ -234,6 +210,8 @@ def psi_point(packet, potential, x, t, region, quad=None):
     factor i*theta), which keeps its accuracy at quadrature level; finite
     differences of the assembled psi would cancel catastrophically.  Forcing
     the region lets interface continuity be checked from both sides.
+    Raises QuadratureError with the achieved value and estimate when a
+    component does not converge.
     """
     if quad is None:
         quad = QuadratureSpec()
@@ -242,26 +220,19 @@ def psi_point(packet, potential, x, t, region, quad=None):
     psi = 0.0 + 0.0j
     dpsi = 0.0 + 0.0j
     for direction in ("forward", "backward"):
-        lo, hi = spectral_window(packet.u_perp, packet.sigma_tilde, direction, quad.window_w)
-        u_breaks = [
-            math.sqrt(b) for b in potential.branch_energies() if lo < math.sqrt(b) < hi
-        ]
-        x_span = _x_phase_span(region, abs(x) + 1.0, packet)
-        rule = SpectralRule(lo, hi, u_breaks, tau, x_span, _probe_spec(quad, packet))
-
-        def g(u, deriv=False):
-            c1, th1, c2, th2, xoff = _region_coeffs(
-                region, direction, u, tau, packet, potential
+        rule, val, (c1, th1, c2, th2, xoff) = _refined_rule(
+            region, direction, x, abs(x) + 1.0, tau, packet, potential, quad
+        )
+        if not val.converged:
+            raise QuadratureError(
+                f"{direction} component at (x={x}, t={t}) reached error estimate "
+                f"{val.error_estimate:.3e}",
+                value=pref * val.value,
+                error_estimate=abs(pref) * val.error_estimate,
             )
-            xi = x - xoff
-            e1 = np.exp(1j * th1 * xi)
-            e2 = np.exp(1j * th2 * xi)
-            if deriv:
-                return c1 * 1j * th1 * e1 + c2 * 1j * th2 * e2
-            return c1 * e1 + c2 * e2
-
-        val = rule.refine_against(g)
-        dval, _ = rule.integrate_values(g(rule.u, deriv=True))
+        dval, _ = rule.integrate_values(
+            wave_at((c1 * 1j * th1, th1, c2 * 1j * th2, th2, xoff), x)
+        )
         psi += pref * val.value
         dpsi += pref * dval
     return psi, dpsi
@@ -270,24 +241,11 @@ def psi_point(packet, potential, x, t, region, quad=None):
 def stationary_density(x, e_perp_tilde, potential: PotentialSpec, sigma) -> float:
     """Narrowband limit of the forward density |psi_>(x)|^2, closed form.
 
-    The spectral integral collapses onto E = E_perp; one complex-analytic
-    expression per region covers propagating and evanescent channels alike.
+    The spectral integral collapses onto E = E_perp, leaving the flux
+    normalised region wave |psi_u(x)|^2 at u = sqrt(E_perp).
     """
-    e = float(e_perp_tilde)
-    norm = 1.0 / (math.sqrt(2.0 * math.pi) * sigma)
-    u = math.sqrt(e)
-    t, tp, rp, r, _ = (z[0] for z in amplitude_table([e], potential))
-
-    region = "left" if x < 0 else ("inside" if x <= 1.0 else "right")
-    if region == "left":
-        return norm * abs(np.exp(1j * u * x) + r * np.exp(-1j * u * x)) ** 2
-    if region == "inside":
-        ku = branch_sqrt(e - potential.u_tilde)[()]
-        phi = tp * np.exp(1j * ku * x) + rp * np.exp(-1j * ku * x)
-        return norm * u / math.sqrt(abs(e - potential.u_tilde)) * abs(phi) ** 2
-    kd = branch_sqrt(e - potential.delta_tilde)[()]
-    amp = t * np.exp(1j * kd * (x - 1.0))
-    return norm * u / math.sqrt(abs(e - potential.delta_tilde)) * abs(amp) ** 2
+    waves = region_waves(region_of(x), math.sqrt(float(e_perp_tilde)), potential)
+    return float(abs(wave_at(waves, x)) ** 2) / (math.sqrt(2.0 * math.pi) * sigma)
 
 
 def norm_window(packet: PacketSpec, t_max, window_w=8.0):

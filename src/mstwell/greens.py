@@ -1,16 +1,17 @@
 """Region-wise retarded Green functions and the spectral space-time kernel.
 
-The energy Green function is piecewise closed-form in the three regions
-(left of the profile, inside it, beyond it); the space-time kernel is its
-discontinuity integrated over positive energies,
+Both are built from the flux-normalised region wave psi_u of
+``scattering.region_waves``.  For a source left of the profile the energy
+Green function is psi_k(x_>) e^{-ik x_<} / (2ik), and the space-time kernel
+is its discontinuity integrated over positive energies; after u = sqrt(E),
 
-    K = (1/pi) * Int_0^inf dE e^{-i E tau} (velocity factors) Re[...],
+    K = Int_0^inf du (1/2pi) [psi_u(x_>) e^{-iu x_<} + c.c.] e^{-i tau u^2},
 
-which after u = sqrt(E) is an oscillatory integral with no damping.  It is
-evaluated as: phase-capped adaptive panels up to a cutoff past every
-stationary point, an exact complementary-error-function tail for the
-constant-amplitude (free) pieces, and panels plus integration-by-parts
-boundary corrections for the amplitude-modulated remainder.
+an oscillatory integral with no damping.  It is evaluated as: phase-capped
+adaptive panels up to a cutoff past every stationary point, an exact
+complementary-error-function tail for the constant-amplitude incident wave,
+and panels plus integration-by-parts boundary corrections for the
+amplitude-modulated remainder.
 
 Only sources left of the profile (x_src < 0) are exposed; that is the
 scattering scenario this package models.  The mirrored source-beyond lines
@@ -20,26 +21,20 @@ exist for the reciprocity check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc
 
 from .model import PotentialSpec, branch_sqrt
-from .quadrature import QuadratureError, QuadratureSpec, adaptive_panels, phase_capped_edges
-from .scattering import amplitude_table
+from .quadrature import OSC_ALLOWANCE, QuadratureError, QuadratureSpec, SpectralRule
+from .scattering import region_of, region_waves, wave_at
+
+_JAC = 0.5 / math.pi  # the 1/pi of Re[...], split over a term and its conjugate
 
 
 class UnsupportedRegionError(ValueError):
     """Green function requested for a (source, destination) pair not provided."""
-
-
-def region_of(x) -> str:
-    if x < 0.0:
-        return "left"
-    if x <= 1.0:
-        return "inside"
-    return "right"
 
 
 def green_free(x, x_src, e_tilde, v_tilde):
@@ -52,43 +47,22 @@ def green_free(x, x_src, e_tilde, v_tilde):
 
 
 def green_region(x, x_src, e_tilde, potential: PotentialSpec):
-    """Energy Green function of the two-step profile for the supported region pairs."""
+    """Energy Green function of the two-step profile, psi_k(x_>) e^{-ik x_<} / (2ik).
+
+    Provided whenever the smaller coordinate x_< lies left of the profile.
+    """
     e = float(e_tilde)
     if e <= 0:
         raise ValueError("energy must be positive")
-    k = branch_sqrt(e)[()]
-    ku = branch_sqrt(e - potential.u_tilde)[()]
-    kd = branch_sqrt(e - potential.delta_tilde)[()]
-    t, tp, rp, r, _ = (z[0] for z in amplitude_table([e], potential))
-    c = 1.0 / 2.0j
-
-    src = region_of(x_src)
-    dst = region_of(x)
-    pair = (src, dst)
-    if pair == ("left", "left"):
-        return c / k * (
-            np.exp(1j * k * abs(x - x_src)) + r * np.exp(-1j * k * (x + x_src))
+    x_lo, x_hi = sorted((x, x_src))
+    if region_of(x_lo) != "left":
+        raise UnsupportedRegionError(
+            f"Green function not available for source region {region_of(x_src)!r} "
+            f"to destination region {region_of(x)!r}"
         )
-    if pair == ("left", "inside"):
-        return c / np.sqrt(k * ku) * (
-            tp * np.exp(1j * ku * x) + rp * np.exp(-1j * ku * x)
-        ) * np.exp(-1j * k * x_src)
-    if pair == ("inside", "left"):
-        return c / np.sqrt(k * ku) * (
-            tp * np.exp(1j * ku * x_src) + rp * np.exp(-1j * ku * x_src)
-        ) * np.exp(-1j * k * x)
-    if pair == ("left", "right"):
-        return c / np.sqrt(k * kd) * t * np.exp(1j * kd * (x - 1.0)) * np.exp(
-            -1j * k * x_src
-        )
-    if pair == ("right", "left"):
-        return c / np.sqrt(k * kd) * t * np.exp(-1j * k * x) * np.exp(
-            1j * kd * (x_src - 1.0)
-        )
-    raise UnsupportedRegionError(
-        f"Green function not available for source region {src!r} "
-        f"to destination region {dst!r}"
-    )
+    k = math.sqrt(e)
+    psi = wave_at(region_waves(region_of(x_hi), k, potential), x_hi)
+    return complex(psi * np.exp(-1j * k * x_lo) / (2j * k))
 
 
 @dataclass
@@ -99,21 +73,6 @@ class PropagatorSample:
     t_src: float
     value: complex
     error_estimate: float = 0.0
-
-
-@dataclass
-class _TailTerm:
-    """One exponential piece A(u) e^{-i tau u^2} of the kernel integrand.
-
-    ``beta`` is the asymptotic linear phase rate of A (for stationary-point
-    location); ``exact_const`` marks pieces whose amplitude is exactly
-    const * e^{i beta u}, which admit a closed-form tail.
-    """
-
-    amp: callable
-    beta: float
-    exact_const: complex | None = None
-    osc_extra: float = 2.5  # internal phase oscillation allowance for panel sizing
 
 
 def _gauss_fresnel_tail(u_c, tau, beta):
@@ -133,26 +92,16 @@ def _gauss_fresnel_tail(u_c, tau, beta):
     )
 
 
-def _ibp_tail(amp, beta, u_c, tau, u_far, spec):
-    """Tail of Int amp(u) e^{-i tau u^2} du beyond u_c.
+def _ibp_boundary(h5, beta, u5, tau):
+    """Int_{u_far}^inf h(u) e^{i phi(u)} du from two integration-by-parts terms.
 
-    Panels carry the integral to u_far.  Beyond it the integrand is written
-    as h(u) e^{i phi(u)} with the full stationary phase
-    phi = -tau u^2 + beta u (so h = amp * e^{-i beta u} is slowly varying)
-    and closed with two integration-by-parts boundary terms; the magnitude
-    of the next term in the series is the error estimate.
+    ``h5`` samples the slowly varying amplitude h at the five points ``u5``
+    centred on u_far; phi = -tau u^2 + beta u is the full stationary phase.
+    Returns the boundary value and, as its error estimate, the magnitude of
+    the next term in the series.
     """
-    def g(u):
-        return amp(u) * np.exp(-1j * tau * u * u)
-
-    edges = phase_capped_edges(
-        u_c, u_far, [], tau, abs(beta) + 2.5, spec.phase_per_panel, spec.max_panels
-    )
-    res, _ = adaptive_panels(g, edges, spec)
-
-    du = 1e-3
-    u5 = u_far + du * np.arange(-2.0, 3.0)
-    h5 = np.asarray(amp(u5)) * np.exp(-1j * beta * u5)
+    du = u5[1] - u5[0]
+    u_far = u5[2]
     dphi5 = -2.0 * tau * u5 + beta
     q1 = h5 / (1j * dphi5)
     q1p = (q1[2:] - q1[:-2]) / (2.0 * du)  # q1' at u_far - du, u_far, u_far + du
@@ -161,77 +110,36 @@ def _ibp_tail(amp, beta, u_c, tau, u_far, spec):
 
     phi = -tau * u_far * u_far + beta * u_far
     pref = np.exp(1j * phi) / (1j * dphi5[2])
-    boundary = pref * (-h5[2] + q1p[1])
-    tail_err = abs(q2p / dphi5[2])
-    return res.value + boundary, res.error_estimate + tail_err, res.converged
+    return pref * (-h5[2] + q1p[1]), abs(q2p / dphi5[2])
 
 
-def _kernel_terms(x, x_src, potential):
-    """Decompose the region kernel into tail-classified exponential pieces.
+def _paired(amp, tau):
+    """Integrand [amp(u) + c.c.] e^{-i tau u^2} of a kernel term and its partner."""
 
-    Each returned term is one half of the Re[...] split (the piece and its
-    conjugate partner appear separately), including the u-substitution
-    Jacobian and velocity prefactors.
+    def g(u):
+        a = amp(u)
+        return (a + np.conj(a)) * np.exp(-1j * tau * u * u)
+
+    return g
+
+
+def _modulated_tail(amp, beta, u_c, u_far, tau, quad):
+    """Tail beyond u_c of [amp(u) + c.c.] e^{-i tau u^2}.
+
+    ``amp`` is a slowly varying amplitude times e^{i beta u}.  Panels carry
+    the integral to u_far; beyond it amp and its conjugate are each closed
+    by their integration-by-parts boundary terms.
     """
-    dst = region_of(x)
-    u_t = potential.u_tilde
-    d_t = potential.delta_tilde
-    terms = []
-
-    if dst == "left":
-        jac = 0.5 / math.pi
-        b1 = abs(x - x_src)
-        b2 = -(x + x_src)
-        terms.append(_TailTerm(
-            amp=lambda u, b=b1: jac * np.exp(1j * b * u),
-            beta=b1, exact_const=jac, osc_extra=0.0,
-        ))
-        terms.append(_TailTerm(
-            amp=lambda u, b=b1: jac * np.exp(-1j * b * u),
-            beta=-b1, exact_const=jac, osc_extra=0.0,
-        ))
-
-        def refl(u):
-            _, _, _, r, _ = amplitude_table(u * u, potential)
-            return jac * r * np.exp(1j * b2 * u)
-
-        def refl_conj(u):
-            _, _, _, r, _ = amplitude_table(u * u, potential)
-            return jac * np.conj(r) * np.exp(-1j * b2 * u)
-
-        terms.append(_TailTerm(amp=refl, beta=b2))
-        terms.append(_TailTerm(amp=refl_conj, beta=-b2))
-        return terms
-
-    if dst == "inside":
-        def bracket(u):
-            ku = branch_sqrt(u * u - u_t)
-            _, tp, rp, _, _ = amplitude_table(u * u, potential)
-            pref = np.sqrt(2.0 * u) / np.sqrt(2.0 * ku) / (2.0 * math.pi)
-            return pref * (tp * np.exp(1j * ku * x) + rp * np.exp(-1j * ku * x)) \
-                * np.exp(-1j * u * x_src)
-
-        def bracket_conj(u):
-            return np.conj(bracket(u))
-
-        beta = x - x_src
-        terms.append(_TailTerm(amp=bracket, beta=beta))
-        terms.append(_TailTerm(amp=bracket_conj, beta=-beta))
-        return terms
-
-    def trans(u):
-        kd = branch_sqrt(u * u - d_t)
-        t, _, _, _, _ = amplitude_table(u * u, potential)
-        pref = np.sqrt(2.0 * u) / np.sqrt(2.0 * kd) / (2.0 * math.pi)
-        return pref * t * np.exp(1j * kd * (x - 1.0)) * np.exp(-1j * u * x_src)
-
-    def trans_conj(u):
-        return np.conj(trans(u))
-
-    beta = x - x_src
-    terms.append(_TailTerm(amp=trans, beta=beta))
-    terms.append(_TailTerm(amp=trans_conj, beta=-beta))
-    return terms
+    rule = SpectralRule(u_c, u_far, [], tau, abs(beta) + OSC_ALLOWANCE, quad)
+    res = rule.refine_against(_paired(amp, tau))
+    u5 = u_far + 1e-3 * np.arange(-2.0, 3.0)
+    h5 = amp(u5) * np.exp(-1j * beta * u5)
+    value, err = res.value, res.error_estimate
+    for h, b in ((h5, beta), (np.conj(h5), -beta)):
+        b_val, b_err = _ibp_boundary(h, b, u5, tau)
+        value += b_val
+        err += b_err
+    return value, err, res.converged
 
 
 def free_kernel_1d(x, t, x_src, t_src):
@@ -259,11 +167,30 @@ def propagate_kernel(
     if x_src >= 0:
         raise UnsupportedRegionError("kernel sources must lie at x_src < 0")
 
-    terms = _kernel_terms(x, x_src, potential)
+    x_lo, x_hi = sorted((x, x_src))
+    region = region_of(x_hi)
+
+    def amp(u):
+        """(1/2pi) psi_u(x_>) e^{-iu x_<}."""
+        waves = region_waves(region, u, potential)
+        return _JAC * wave_at(waves, x_hi) * np.exp(-1j * u * x_lo)
+
+    if region == "left":
+        # the incident wave e^{iu(x_> - x_<)} has unit amplitude and an exact
+        # tail; only the reflected wave r e^{-iu(x_> + x_<)} is modulated
+        exact_beta = x_hi - x_lo
+        beta = -(x_hi + x_lo)
+
+        def tail_amp(u):
+            _, th1, c2, th2, xoff = region_waves("left", u, potential)
+            return _JAC * wave_at((0.0, th1, c2, th2, xoff), x_hi) * np.exp(-1j * u * x_lo)
+    else:
+        exact_beta = None
+        beta = x_hi - x_lo
+        tail_amp = amp
 
     u_branch = [math.sqrt(b) for b in potential.branch_energies()]
-    beta_max = max([tm.beta for tm in terms] + [0.0])
-    u_stat = beta_max / (2.0 * tau)
+    u_stat = abs(beta) / (2.0 * tau)
     u_c = max(
         30.0,
         u_stat + 10.0 / math.sqrt(min(tau, 1.0)),
@@ -271,30 +198,16 @@ def propagate_kernel(
     )
     u_far = max(2.0 * u_c, u_c + 100.0, 300.0)
 
-    x_osc = max(abs(tm.beta) + tm.osc_extra for tm in terms)
-
-    def head(u):
-        total = terms[0].amp(u)
-        for tm in terms[1:]:
-            total = total + tm.amp(u)
-        return total * np.exp(-1j * tau * u * u)
-
-    edges = phase_capped_edges(
-        0.0, u_c, u_branch, tau, x_osc, quad.phase_per_panel, quad.max_panels
-    )
-    head_res, _ = adaptive_panels(head, edges, quad)
-
+    rule = SpectralRule(0.0, u_c, u_branch, tau, abs(beta) + OSC_ALLOWANCE, quad)
+    head_res = rule.refine_against(_paired(amp, tau))
+    tail, tail_err, tail_ok = _modulated_tail(tail_amp, beta, u_c, u_far, tau, quad)
     value = head_res.value
-    err = head_res.error_estimate
-    converged = head_res.converged
-    for tm in terms:
-        if tm.exact_const is not None:
-            value += tm.exact_const * _gauss_fresnel_tail(u_c, tau, tm.beta)
-        else:
-            tval, terr, tconv = _ibp_tail(tm.amp, tm.beta, u_c, tau, u_far, quad)
-            value += tval
-            err += terr
-            converged = converged and tconv
+    if exact_beta is not None:
+        value += _JAC * _gauss_fresnel_tail(u_c, tau, exact_beta)
+        value += _JAC * _gauss_fresnel_tail(u_c, tau, -exact_beta)
+    value += tail
+    err = head_res.error_estimate + tail_err
+    converged = head_res.converged and tail_ok
 
     tol = max(quad.rel_tol * abs(value), quad.abs_tol)
     if not converged or err > tol:

@@ -4,7 +4,8 @@ Independent of every analytic ingredient in this package: the packet is
 evolved by Crank-Nicolson (Cayley) time stepping of the discretized
 Hamiltonian on a hard-walled, over-sized domain.  The Cayley form is
 exactly unitary for a Hermitian discrete Hamiltonian, so norm drift is a
-sharp diagnostic of the linear algebra, not of the physics.
+sharp diagnostic of the linear algebra, not of the physics.  Each step is
+one solve with the LAPACK banded LU of the pentadiagonal Cayley matrix.
 
 The Laplacian uses the 5-point fourth-order stencil.  With the second
 order stencil the dispersion error at the packet's upper spectral flank
@@ -38,12 +39,9 @@ class GridSpec:
     x_max: float
     dx: float
     dt: float
-    boundary: str = "hard_wall"
     window_w: float = 5.0
 
     def __post_init__(self):
-        if self.boundary not in ("hard_wall", "absorbing_ramp"):
-            raise GridConfigError(f"unknown boundary {self.boundary!r}")
         if self.dx <= 0 or self.dt <= 0 or self.x_max <= self.x_min:
             raise GridConfigError("dx, dt must be positive and x_max > x_min")
 
@@ -80,7 +78,6 @@ def grid_for_scenario(
     dx_refine: float = 1.0,
     dt_refine: float = 1.0,
     window_w: float = 5.0,
-    boundary: str = "hard_wall",
 ) -> GridSpec:
     """Build the coarsest grid satisfying the invariants, optionally refined.
 
@@ -101,7 +98,6 @@ def grid_for_scenario(
         x_max=1.0 + dx * math.ceil(margin / dx),
         dx=dx,
         dt=dt,
-        boundary=boundary,
         window_w=window_w,
     )
     spec.validate(packet, t_max)
@@ -157,103 +153,36 @@ def _potential_on_grid(potential: PotentialSpec, x: np.ndarray) -> np.ndarray:
     return v
 
 
-def _absorbing_ramp(x: np.ndarray, strength=50.0, fraction=0.08) -> np.ndarray:
-    width = fraction * (x[-1] - x[0])
-    left = np.clip((x[0] + width - x) / width, 0.0, 1.0)
-    right = np.clip((x - (x[-1] - width)) / width, 0.0, 1.0)
-    return strength * (left ** 2 + right ** 2)
-
-
-try:
-    from numba import njit as _njit
-
-    @_njit(cache=True)
-    def _penta_factor(a, b, d, e, f):
-        n = d.size
-        for i in range(n - 1):
-            m = b[i + 1] / d[i]
-            b[i + 1] = m
-            d[i + 1] -= m * e[i]
-            if i + 2 < n:
-                e[i + 1] -= m * f[i]
-                m2 = a[i + 2] / d[i]
-                a[i + 2] = m2
-                b[i + 2] -= m2 * e[i]
-                d[i + 2] -= m2 * f[i]
-
-    @_njit(cache=True)
-    def _penta_solve(a, b, inv_d, e, f, rhs, out):
-        n = inv_d.size
-        out[0] = rhs[0]
-        out[1] = rhs[1] - b[1] * out[0]
-        for i in range(2, n):
-            out[i] = rhs[i] - b[i] * out[i - 1] - a[i] * out[i - 2]
-        out[n - 1] = out[n - 1] * inv_d[n - 1]
-        out[n - 2] = (out[n - 2] - e[n - 2] * out[n - 1]) * inv_d[n - 2]
-        for i in range(n - 3, -1, -1):
-            out[i] = (out[i] - e[i] * out[i + 1] - f[i] * out[i + 2]) * inv_d[i]
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-
 class _CayleyStepper:
     """Factored solver advancing (1 + i dt/2 H) psi_new = (1 - i dt/2 H) psi.
 
     Uses psi_new = 2 (1 + i dt/2 H)^-1 psi - psi, so each step is a single
-    pentadiagonal solve.  The matrix is strictly diagonally dominant at the
-    mandated dt cap, so the jitted no-pivot LU is safe; a tiny pivot or a
-    missing numba falls back to the LAPACK banded factorization.
+    pentadiagonal solve with the LAPACK banded LU factors.
     """
 
-    def __init__(self, v_grid, dx, dt, complex_absorber=None):
+    def __init__(self, v_grid, dx, dt):
         n = v_grid.size
         inv = 1.0 / (dx * dx)
-        self.o1 = -4.0 / 3.0 * inv
-        self.o2 = 1.0 / 12.0 * inv
-        diag = 2.5 * inv + v_grid.astype(complex)
-        if complex_absorber is not None:
-            diag = diag - 1j * complex_absorber
-
+        o1 = -4.0 / 3.0 * inv
+        o2 = 1.0 / 12.0 * inv
         z = 0.5j * dt
-        self._use_penta = False
-        if _HAVE_NUMBA:
-            self._a = np.full(n, z * self.o2)
-            self._b = np.full(n, z * self.o1)
-            self._d = 1.0 + z * diag
-            self._e = np.full(n, z * self.o1)
-            self._f = np.full(n, z * self.o2)
-            _penta_factor(self._a, self._b, self._d, self._e, self._f)
-            if float(np.min(np.abs(self._d))) > 1e-10 * float(np.max(np.abs(self._d))):
-                self._inv_d = 1.0 / self._d
-                self._use_penta = True
-                self._out = np.empty(n, dtype=complex)
-        if not self._use_penta:
-            kl = ku = 2
-            ab = np.zeros((2 * kl + ku + 1, n), dtype=complex)
-            ab[kl + ku, :] = 1.0 + z * diag
-            ab[kl + ku - 1, 1:] = z * self.o1
-            ab[kl + ku - 2, 2:] = z * self.o2
-            ab[kl + ku + 1, :-1] = z * self.o1
-            ab[kl + ku + 2, :-2] = z * self.o2
-            gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
-            self._lu, self._piv, info = gbtrf(ab, kl, ku)
-            if info != 0:
-                raise RuntimeError(f"banded LU factorization failed (info={info})")
-            self._gbtrs = gbtrs
-
-    def _solve(self, rhs):
-        if self._use_penta:
-            _penta_solve(self._a, self._b, self._inv_d, self._e, self._f, rhs, self._out)
-            return self._out
-        out, info = self._gbtrs(self._lu, 2, 2, rhs, self._piv)
+        kl = ku = 2
+        ab = np.zeros((2 * kl + ku + 1, n), dtype=complex)
+        ab[kl + ku, :] = 1.0 + z * (2.5 * inv + v_grid.astype(complex))
+        ab[kl + ku - 1, 1:] = z * o1
+        ab[kl + ku - 2, 2:] = z * o2
+        ab[kl + ku + 1, :-1] = z * o1
+        ab[kl + ku + 2, :-2] = z * o2
+        gbtrf, self._gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+        self._lu, self._piv, info = gbtrf(ab, kl, ku)
         if info != 0:
-            raise RuntimeError(f"banded solve failed (info={info})")
-        return out
+            raise RuntimeError(f"banded LU factorization failed (info={info})")
 
     def step(self, psi):
-        return 2.0 * self._solve(psi) - psi
+        out, info = self._gbtrs(self._lu, 2, 2, psi, self._piv)
+        if info != 0:
+            raise RuntimeError(f"banded solve failed (info={info})")
+        return 2.0 * out - psi
 
 
 def evolve_grid(
@@ -276,7 +205,6 @@ def evolve_grid(
 
     x = grid.x_grid
     v = _potential_on_grid(potential, x)
-    absorber = _absorbing_ramp(x) if grid.boundary == "absorbing_ramp" else None
 
     psi = initial_cutoff_packet(packet, x, grid.dx)
     # hard walls: endpoints pinned to zero, interior evolved
@@ -288,10 +216,7 @@ def evolve_grid(
     for i, t_target in enumerate(t_samples):
         gap = float(t_target) - t_now
         n_steps = max(1, math.ceil(gap / grid.dt))
-        stepper = _CayleyStepper(
-            v[1:-1], grid.dx, gap / n_steps,
-            None if absorber is None else absorber[1:-1],
-        )
+        stepper = _CayleyStepper(v[1:-1], grid.dx, gap / n_steps)
         inner = psi[1:-1]
         for _ in range(n_steps):
             inner = stepper.step(inner)

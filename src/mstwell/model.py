@@ -1,8 +1,7 @@
-"""Dimensionless scaling, potential description, and branch-aware wave numbers.
+"""Potential description and branch-aware wave numbers.
 
-Internally everything is dimensionless: lengths in units of the potential
-width d, energies in E_d = hbar^2 / (2 m d^2), times in t_d = hbar / E_d.
-Physical units only enter through :class:`PhysicalScales` at the I/O boundary.
+Everything is dimensionless: lengths in units of the potential width d,
+energies in E_d = hbar^2 / (2 m d^2), times in t_d = hbar / E_d.
 
 In these units hbar = 1 and the effective mass is 1/2, so a channel with
 dimensionless energy e above a flat potential level v has wave number
@@ -11,46 +10,9 @@ k = sqrt(e - v) and velocity 2 k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar as HBAR
-
-
-class ChannelKind(Enum):
-    PROPAGATING = "propagating"
-    EVANESCENT = "evanescent"
-
-
-@dataclass(frozen=True)
-class PhysicalScales:
-    """Unit system attached to a barrier of width ``d_width`` and a particle mass."""
-
-    d_width: float  # m
-    mass: float     # kg
-    e_d: float = field(init=False)  # J
-    t_d: float = field(init=False)  # s
-
-    def __post_init__(self):
-        if self.d_width <= 0 or self.mass <= 0:
-            raise ValueError("d_width and mass must be positive")
-        object.__setattr__(self, "e_d", HBAR ** 2 / (2.0 * self.mass * self.d_width ** 2))
-        object.__setattr__(self, "t_d", HBAR / self.e_d)
-
-    def energy_to_si(self, e_tilde):
-        return e_tilde * self.e_d
-
-    def time_to_si(self, t_tilde):
-        return t_tilde * self.t_d
-
-    def length_to_si(self, x_tilde):
-        return x_tilde * self.d_width
-
-
-def make_scales(d_width: float, mass: float) -> PhysicalScales:
-    """Build the unit system; ``e_d * t_d == hbar`` by construction."""
-    return PhysicalScales(d_width=d_width, mass=mass)
 
 
 @dataclass(frozen=True)
@@ -79,38 +41,13 @@ class PotentialSpec:
         return sorted(set(pts))
 
 
-@dataclass(frozen=True)
-class ChannelWaveNumber:
-    """Branch-resolved complex wave number of one flat region.
-
-    The retarded branch (energy + i0) is used throughout, so Im(value) >= 0:
-    real positive when propagating, purely imaginary positive when evanescent.
-    """
-
-    value: complex
-    kind: ChannelKind
-    at_branch_point: bool = False
-
-    def __complex__(self):
-        return complex(self.value)
-
-
-def wave_number(e_tilde: float, v_tilde: float) -> ChannelWaveNumber:
-    """sqrt(e - v) on the retarded branch.
-
-    Exactly at e == v the value is 0 and ``at_branch_point`` is set; callers
-    doing energy integrals must split panels there.
-    """
-    diff = float(e_tilde) - float(v_tilde)
-    if diff > 0.0:
-        return ChannelWaveNumber(complex(np.sqrt(diff)), ChannelKind.PROPAGATING)
-    if diff < 0.0:
-        return ChannelWaveNumber(1j * np.sqrt(-diff), ChannelKind.EVANESCENT)
-    return ChannelWaveNumber(0j, ChannelKind.EVANESCENT, at_branch_point=True)
-
-
 def branch_sqrt(z):
-    """Vectorized sqrt with the retarded (+i0) branch for real arguments."""
+    """Vectorized sqrt with the retarded (+i0) branch for real arguments.
+
+    Channel wave numbers k = branch_sqrt(e - v) have Im(k) >= 0: real
+    positive when propagating, purely imaginary positive when evanescent,
+    and 0 at the branch point e == v, where energy integrals split panels.
+    """
     return np.sqrt(np.asarray(z, dtype=np.complex128) + 0j)
 
 
@@ -118,7 +55,3 @@ def quartic_root(z):
     """Branch-consistent fourth root: sqrt(branch_sqrt(z))."""
     return np.sqrt(branch_sqrt(z))
 
-
-def velocity(k):
-    """Dimensionless velocity of a channel (hbar = 1, mass = 1/2)."""
-    return 2.0 * (k.value if isinstance(k, ChannelWaveNumber) else k)

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .model import branch_sqrt
-
 
 @dataclass(frozen=True)
 class PacketSpec:
@@ -94,32 +92,6 @@ def gaussian_weight(u, packet: PacketSpec, direction):
     if direction == "backward":
         return np.exp(-((u + packet.u_perp) ** 2) * packet.sigma_tilde ** 2)
     raise ValueError(f"unknown direction {direction!r}")
-
-
-def transverse_factor(rho_offset, t_tilde, packet: PacketSpec, k_par_i=(0.0, 0.0)):
-    """Closed-form transverse factor of the packet (unit L2 norm in the plane).
-
-    ``rho_offset`` is rho - rho_i in units of d; in internal units
-    (hbar = 1, m = 1/2) the spreading denominator is 2i(t-t0) + 4 sigma^2
-    with m = 1/2 inserted.
-    """
-    p = packet
-    if t_tilde < p.t0_tilde:
-        raise ValueError("t_tilde must be >= t0_tilde")
-    rho = np.asarray(rho_offset, dtype=float)
-    kpar = np.asarray(k_par_i, dtype=float)
-    dt = t_tilde - p.t0_tilde
-    m = 0.5
-    denom = 1j * dt + 2.0 * m * p.sigma_tilde ** 2
-    arg = rho - 2j * kpar * p.sigma_tilde ** 2
-    return (
-        math.sqrt(2.0 / math.pi)
-        * m
-        * p.sigma_tilde
-        / denom
-        * np.exp(-(arg @ arg) * m / (2j * dt + 4.0 * m * p.sigma_tilde ** 2))
-        * np.exp(-(kpar @ kpar) * p.sigma_tilde ** 2)
-    )
 
 
 def cutoff_tail_mass(packet: PacketSpec) -> float:

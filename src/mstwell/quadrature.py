@@ -15,6 +15,11 @@ Panels are seeded so the phase change per panel is bounded,
 branch points, and then refined adaptively with the embedded 7/15
 Gauss-Kronrod pair.  Totals are compensated sums over panels in fixed
 ascending-edge order, so results are bit-identical for identical inputs.
+
+``SpectralRule`` is the one engine: every integral of the package (the
+packet components, the dwell integrals and the space-time kernel) seeds a
+rule, refines it against one integrand and, where many integrands share
+the window, reuses its nodes.
 """
 
 from __future__ import annotations
@@ -55,6 +60,10 @@ WGK = np.concatenate([_WGK_HALF, [0.20948214108472782], _WGK_HALF[::-1]])
 WG = np.zeros(15)
 WG[1:14:2] = np.concatenate([_WG_HALF, [0.4179591836734694], _WG_HALF[::-1]])
 WERR = WGK - WG
+
+# Allowance added to the x-driven phase rate of an integrand for the internal
+# oscillation of the amplitudes (the e^{2i k_u} round trip across the profile).
+OSC_ALLOWANCE = 2.5
 
 
 class QuadratureError(RuntimeError):
@@ -207,6 +216,13 @@ def adaptive_panels(g, edges, spec: QuadratureSpec):
     )
 
 
+def spectral_rule(packet, direction, branch_points, t_scale, x_span, spec) -> SpectralRule:
+    """Rule over the spectral window of ``packet``, split at the branch energies."""
+    lo, hi = spectral_window(packet.u_perp, packet.sigma_tilde, direction, spec.window_w)
+    u_breaks = [math.sqrt(bp) for bp in branch_points if bp > 0]
+    return SpectralRule(lo, hi, u_breaks, t_scale, x_span, spec)
+
+
 def integrate_spectral(
     f,
     packet,
@@ -224,18 +240,8 @@ def integrate_spectral(
     """
     if spec is None:
         spec = QuadratureSpec()
-    u_perp = math.sqrt(packet.e_perp_tilde)
-    lo, hi = spectral_window(u_perp, packet.sigma_tilde, direction, spec.window_w)
-    u_breaks = [math.sqrt(bp) for bp in branch_points if bp > 0]
-    edges = phase_capped_edges(
-        lo, hi, u_breaks, t_tilde, x_span, spec.phase_per_panel, spec.max_panels
-    )
-
-    def g(u):
-        return 2.0 * u * np.asarray(f(u * u))
-
-    result, _ = adaptive_panels(g, edges, spec)
-    return result
+    rule = spectral_rule(packet, direction, branch_points, t_tilde, x_span, spec)
+    return rule.refine_against(lambda u: 2.0 * u * np.asarray(f(u * u)))
 
 
 class SpectralRule:

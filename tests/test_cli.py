@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from mstwell import PotentialSpec, probabilities
 from mstwell.cli import ConfigError, main, merge_config, parse_config_text
 
 # cheap oracle scenario shared by the comparison tests
@@ -99,6 +100,29 @@ class TestAmplitudes:
         for row in rows:
             assert float(row.split(",")[-1]) < 1e-12
 
+    def test_probabilities_match_amplitudes(self, tmp_path):
+        # T_prob and R_prob are |t|^2 and |r|^2 of the printed amplitudes,
+        # with the closed exit channel (E <= Delta) pinned to 0 and 1
+        path = tmp_path / "amps.csv"
+        assert main([
+            "amplitudes", "-o", str(path), "--set", "potential.delta_tilde=40",
+            "--set", "amplitudes.e_min=15", "--set", "amplitudes.e_max=75",
+            "--set", "amplitudes.e_count=7",
+        ]) == 0
+        rows = [
+            [float(v) for v in ln.split(",")]
+            for ln in path.read_text(encoding="utf-8").splitlines()[4:]
+        ]
+        for e, t_re, t_im, *_, r_re, r_im, t_prob, r_prob, _ in rows:
+            p = probabilities(e, PotentialSpec(10.0, 40.0))
+            assert t_prob == pytest.approx(p["T_prob"], rel=0.0, abs=1e-15)
+            assert r_prob == pytest.approx(p["R_prob"], rel=0.0, abs=1e-15)
+            if e > 40.0:
+                assert t_prob == pytest.approx(abs(complex(t_re, t_im)) ** 2, rel=1e-15)
+                assert r_prob == pytest.approx(abs(complex(r_re, r_im)) ** 2, rel=1e-15)
+            else:
+                assert (t_prob, r_prob) == (0.0, 1.0)
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ["amplitudes", "--set", "amplitudes.e_count=16"]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -160,7 +184,7 @@ class TestDwell:
         path = tmp_path / "dwell.csv"
         code = main([
             "dwell", "-o", str(path),
-            "--set", "dwell.u_min=-50", "--set", "dwell.u_max=50",
+            "--set", "dwell.u_min=-50", "--set", "dwell.u_max=40",
             "--set", "dwell.u_count=3",
         ])
         assert code == 0
@@ -174,6 +198,28 @@ class TestDwell:
             vals = [float(v) for v in ln.split(",")]
             # total equals the sum of its parts
             assert vals[5] == pytest.approx(vals[2] + vals[3] + vals[4], rel=1e-10)
+
+    def test_free_profile_level_is_2(self, tmp_path):
+        # U = Delta = 0 is free flight: t(E) = 1/(2 sqrt(E)) and the spectral
+        # density ~ 1/sqrt(E) make the packet dwell integral diverge
+        # logarithmically at E -> 0, so no quadrature target can be met
+        path = tmp_path / "dwell.csv"
+        code = main([
+            "dwell", "-o", str(path),
+            "--set", "dwell.u_min=0", "--set", "dwell.u_max=0",
+        ])
+        assert code == 2
+
+    def test_nonconverged_is_2(self, tmp_path):
+        # a five-panel budget cannot meet the default target: the rows are
+        # still written, but the run reports a numerical failure
+        path = tmp_path / "dwell.csv"
+        code = main([
+            "dwell", "-o", str(path),
+            "--set", "quad.max_panels=5", "--set", "dwell.u_count=3",
+        ])
+        assert code == 2
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 4 + 3
 
 
 class TestOracleCompare:

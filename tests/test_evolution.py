@@ -8,6 +8,7 @@ import pytest
 from mstwell import (
     PacketSpec,
     PotentialSpec,
+    QuadratureError,
     QuadratureSpec,
     density,
     evolve,
@@ -93,6 +94,12 @@ class TestPsiPoint:
             dscale = max(abs(va[1]), abs(vb[1]))
             assert abs(va[0] - vb[0]) < 1e-8 * scale
             assert abs(va[1] - vb[1]) < 1e-8 * dscale
+
+    def test_nonconverged_probe_raises(self):
+        with pytest.raises(QuadratureError) as info:
+            psi_point(PACKET, self.POT, 0.5, 0.5, "inside", QuadratureSpec(max_panels=2))
+        assert info.value.value is not None
+        assert info.value.error_estimate > 0
 
     def test_derivative_consistent_with_values(self):
         h = 1e-5

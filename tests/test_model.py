@@ -1,45 +1,14 @@
-"""Units, potential description, and branch-aware wave numbers."""
+"""Potential description and branch-aware wave numbers."""
 
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.constants import electron_mass, hbar
 
-from mstwell import (
-    ChannelKind,
-    PotentialSpec,
-    branch_sqrt,
-    make_scales,
-    quartic_root,
-    velocity,
-    wave_number,
-)
+from mstwell import PotentialSpec, branch_sqrt, quartic_root
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e12, max_value=1e12)
-
-
-class TestScales:
-    def test_known_values(self):
-        s = make_scales(d_width=1e-9, mass=electron_mass)
-        assert s.e_d == pytest.approx(hbar**2 / (2 * electron_mass * 1e-18), rel=1e-15)
-        assert s.t_d == pytest.approx(hbar / s.e_d, rel=1e-15)
-
-    def test_planck_identity(self):
-        s = make_scales(2.5e-10, electron_mass)
-        assert s.e_d * s.t_d == pytest.approx(hbar, rel=1e-15)
-
-    def test_round_trip(self):
-        s = make_scales(1e-9, electron_mass)
-        assert s.energy_to_si(100.0) / s.e_d == pytest.approx(100.0, rel=1e-15)
-        assert s.time_to_si(0.5) / s.t_d == pytest.approx(0.5, rel=1e-15)
-        assert s.length_to_si(3.0) == pytest.approx(3e-9, rel=1e-15)
-
-    @pytest.mark.parametrize("d,m", [(0.0, 1.0), (-1e-9, 1.0), (1e-9, 0.0), (1e-9, -1.0)])
-    def test_rejects_nonpositive(self, d, m):
-        with pytest.raises(ValueError):
-            make_scales(d, m)
 
 
 class TestPotentialSpec:
@@ -59,25 +28,27 @@ class TestPotentialSpec:
 
 
 class TestWaveNumber:
+    """Channel wave numbers k = branch_sqrt(e - v) on the retarded branch."""
+
     def test_propagating(self):
-        k = wave_number(100.0, 10.0)
-        assert k.kind is ChannelKind.PROPAGATING
-        assert complex(k) == pytest.approx(math.sqrt(90.0))
-        assert not k.at_branch_point
+        assert branch_sqrt(100.0 - 10.0)[()] == pytest.approx(math.sqrt(90.0))
 
     def test_evanescent(self):
-        k = wave_number(10.0, 50.0)
-        assert k.kind is ChannelKind.EVANESCENT
-        assert complex(k) == pytest.approx(1j * math.sqrt(40.0))
+        assert branch_sqrt(10.0 - 50.0)[()] == pytest.approx(1j * math.sqrt(40.0))
 
     def test_branch_point_flag(self):
-        k = wave_number(50.0, 50.0)
-        assert k.at_branch_point
-        assert complex(k) == 0
+        # exactly at the threshold k = 0, a signed zero included; just off it
+        # the root leaves along the real (above) or imaginary (below) axis
+        k = branch_sqrt(np.array([0.0, -0.0, 50.0 - 50.0]))
+        assert np.all(k == 0)
+        above = branch_sqrt(1e-300)[()]
+        below = branch_sqrt(-1e-300)[()]
+        assert above.real > 0 and above.imag == 0
+        assert below.imag > 0 and below.real == 0
 
     @given(e=finite, v=finite)
     def test_retarded_branch(self, e, v):
-        k = complex(wave_number(e, v))
+        k = branch_sqrt(e - v)[()]
         assert k.imag >= 0.0
         assert k.real >= 0.0
         # k^2 recovers the energy difference
@@ -105,7 +76,3 @@ class TestBranchRoots:
         # sqrt(-1 + i0) = +i, so the fourth root sits at 45 degrees
         r = quartic_root(-1.0)[()]
         assert r == pytest.approx(complex(math.cos(math.pi / 4), math.sin(math.pi / 4)))
-
-    def test_velocity(self):
-        assert velocity(wave_number(100.0, 0.0)) == pytest.approx(20.0)
-        assert velocity(3.0) == 6.0

@@ -14,7 +14,6 @@ from mstwell import (
     gaussian_weight,
     integrate_spectral,
     spectral_amplitudes,
-    transverse_factor,
     validity_report,
 )
 
@@ -83,31 +82,6 @@ class TestGaussianWeight:
     def test_unknown_direction(self):
         with pytest.raises(ValueError):
             gaussian_weight(1.0, PacketSpec(100.0, 0.1, -10.0), "up")
-
-
-class TestTransverse:
-    def test_initial_unit_norm(self):
-        # |T|^2 integrates to 1 over the transverse plane at t = t0
-        packet = PacketSpec(100.0, 0.25, -10.0)
-        r = np.linspace(0.0, 6.0, 4001)
-        vals = np.array(
-            [abs(transverse_factor(np.array([rv, 0.0]), 0.0, packet)) ** 2 for rv in r]
-        )
-        norm = 2.0 * math.pi * np.trapezoid(vals * r, r)
-        assert norm == pytest.approx(1.0, rel=1e-5)
-
-    def test_norm_preserved_in_time(self):
-        packet = PacketSpec(100.0, 0.25, -10.0)
-        r = np.linspace(0.0, 25.0, 12001)  # spreading widens the support
-        vals = np.array(
-            [abs(transverse_factor(np.array([rv, 0.0]), 1.0, packet)) ** 2 for rv in r]
-        )
-        norm = 2.0 * math.pi * np.trapezoid(vals * r, r)
-        assert norm == pytest.approx(1.0, rel=1e-5)
-
-    def test_rejects_backward_time(self):
-        with pytest.raises(ValueError):
-            transverse_factor(np.zeros(2), -0.5, PacketSpec(100.0, 0.25, -10.0))
 
 
 class TestDiagnostics:

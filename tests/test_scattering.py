@@ -13,14 +13,19 @@ from hypothesis import given, settings, strategies as st
 
 import mstwell as mw
 from mstwell import (
+    PacketSpec,
     PotentialSpec,
     SingularStepError,
     closed_amplitudes,
+    gaussian_weight,
     mst_compose,
     probabilities,
+    region_waves,
     step_amplitudes,
     step_t_matrices,
+    wave_at,
 )
+from mstwell.evolution import _region_coeffs
 
 # (E, U, Delta) -> (t, r) from the independent transfer-matrix route
 FROZEN = {
@@ -162,11 +167,56 @@ class TestSingleStep:
             step_t_matrices(1.0, -1.0)
 
     def test_t_matrix_scaling(self):
-        kl, kr = 1.5, 0.5 + 2.0j
-        tm = step_t_matrices(kl, kr)
-        a = step_amplitudes(kl, kr)
-        assert tm.t_refl_left == pytest.approx(1j * 2.0 * kl * a.r_left, rel=1e-12)
-        assert tm.t_refl_right == pytest.approx(1j * 2.0 * kr * a.r_right, rel=1e-12)
+        # the resummed t-matrices equal i*hbar*velocity times the amplitudes
+        pairs = {
+            "propagating": (3.0, 2.0),
+            "evanescent": (2.0j, 0.5j),
+            "mixed": (1.5, 2.0j),
+            "complex": (1.5, 0.5 + 2.0j),
+        }
+        for kl, kr in pairs.values():
+            tm = step_t_matrices(kl, kr)
+            a = step_amplitudes(kl, kr)
+            assert tm.t_refl_left == pytest.approx(1j * 2.0 * kl * a.r_left, rel=1e-12)
+            assert tm.t_refl_right == pytest.approx(1j * 2.0 * kr * a.r_right, rel=1e-12)
+            v_root = np.sqrt(complex(2.0 * kl)) * np.sqrt(complex(2.0 * kr))
+            assert tm.t_trans == pytest.approx(1j * v_root * a.t, rel=1e-12)
+
+
+class TestRegionWaves:
+    # barrier, well, evanescent inner channel, evanescent exit channel
+    CASES = [
+        (100.0, PotentialSpec(10.0, 0.0)),
+        (100.0, PotentialSpec(-100.0, 40.0)),
+        (30.0, PotentialSpec(80.0, 10.0)),
+        (30.0, PotentialSpec(10.0, 50.0)),
+    ]
+
+    @staticmethod
+    def _value_and_slope(region, u, x, pot):
+        c1, th1, c2, th2, xoff = region_waves(region, u, pot)
+        value = wave_at((c1, th1, c2, th2, xoff), x)
+        slope = wave_at((1j * th1 * c1, th1, 1j * th2 * c2, th2, xoff), x)
+        return complex(value), complex(slope)
+
+    @pytest.mark.parametrize("e,pot", CASES)
+    def test_matching_and_time_reversal(self, e, pot):
+        u = math.sqrt(e)
+        for x0, (below, above) in ((0.0, ("left", "inside")), (1.0, ("inside", "right"))):
+            va, da = self._value_and_slope(below, u, x0, pot)
+            vb, db = self._value_and_slope(above, u, x0, pot)
+            assert abs(va - vb) <= 1e-12 * max(abs(va), 1.0)
+            assert abs(da - db) <= 1e-12 * max(abs(da), u)
+        # the backward component of the packet evolution is conj(psi_u)
+        packet = PacketSpec(e, 0.2, -5.0)
+        uu = np.array([u])
+        tau = 0.3
+        base = 2.0 * np.exp(-1j * e * tau) * gaussian_weight(uu, packet, "backward") \
+            * np.exp(1j * u * packet.x_i_tilde)
+        for region, x in (("left", -0.4), ("inside", 0.6), ("right", 1.7)):
+            bwd = wave_at(_region_coeffs(region, "backward", uu, tau, packet, pot), x)
+            fwd = wave_at(region_waves(region, uu, pot), x)
+            assert bwd[0] == pytest.approx(base[0] * np.conj(fwd[0]), rel=1e-14)
 
 
 def test_vectorized_table_matches_scalar():

@@ -45,17 +45,14 @@ def _inner_pieces(e_tilde, potential: PotentialSpec):
     one exponential, integrated over 0 < x < 1 in closed form.
     """
     u = np.sqrt(np.asarray(e_tilde, dtype=float))
-    c1, th1, c2, th2, _ = region_waves("inside", u, potential)
+    a, b, th, _ = region_waves("inside", u, potential)
+    decay = 1j * (th - np.conj(th))
     abs_psi2 = (
-        np.abs(c1) ** 2 * _expi_ratio(1j * (th1 - np.conj(th1)))
-        + np.abs(c2) ** 2 * _expi_ratio(1j * (th2 - np.conj(th2)))
-        + 2.0 * np.real(c1 * np.conj(c2) * _expi_ratio(1j * (th1 - np.conj(th2))))
+        np.abs(a) ** 2 * _expi_ratio(decay)
+        + np.abs(b) ** 2 * _expi_ratio(-decay)
+        + 2.0 * np.real(a * np.conj(b) * _expi_ratio(1j * (th + np.conj(th))))
     )
-    psi2 = (
-        c1 * c1 * _expi_ratio(2j * th1)
-        + c2 * c2 * _expi_ratio(2j * th2)
-        + 2.0 * c1 * c2 * _expi_ratio(1j * (th1 + th2))
-    )
+    psi2 = a * a * _expi_ratio(2j * th) + b * b * _expi_ratio(-2j * th) + 2.0 * a * b
     return np.real(abs_psi2) / (2.0 * u), psi2 / (2.0 * u)
 
 

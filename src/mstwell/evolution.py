@@ -3,11 +3,13 @@
 The wave function is assembled region by region from six spectral
 integrals: forward and backward components in each of the three regions.
 All six share the window machinery of the quadrature module; within one
-(region, time, direction) triple the integrand factorizes into
-x-independent amplitude arrays times two exponentials exp(i theta(u) x),
-so the panel set is refined once against a worst-phase probe point and
-then reused for every x as a weighted sum.  That keeps dense space-time
-grids (needed for norm checks and the grid-solver comparison) tractable.
+(region, time, direction) triple the integrand is the region wave
+c_in(u) e^{i theta(u) xi} + c_out(u) e^{-i theta(u) xi}, xi = x - x_offset,
+with x-independent amplitude arrays, so the panel set is refined once
+against a worst-phase probe point and then reused for every x as a
+weighted sum that costs one complex exponential per (x, node).  That keeps
+dense space-time grids (needed for norm checks and the grid-solver
+comparison) tractable.
 """
 
 from __future__ import annotations
@@ -75,21 +77,22 @@ def _region_masks(x):
 
 
 def _region_coeffs(region, direction, u, tau, packet: PacketSpec, potential: PotentialSpec):
-    """x-independent integrand pieces: (c1, theta1, c2, theta2, x_offset).
+    """x-independent integrand pieces: (c_in, c_out, theta, x_offset).
 
     The region wave of ``region_waves`` (conjugated for the backward
     direction) times the Gaussian weight, the x_i phase, the time phase and
     the u-substitution Jacobian; evaluate at x with ``wave_at``.
     """
-    c1, th1, c2, th2, xoff = region_waves(region, u, potential)
+    c_in, c_out, theta, xoff = region_waves(region, u, potential)
     weight = gaussian_weight(u, packet, direction)
     if direction == "forward":
         phase_i = np.exp(-1j * u * packet.x_i_tilde)
     else:
-        c1, th1, c2, th2 = np.conj(c1), -np.conj(th1), np.conj(c2), -np.conj(th2)
+        c_in, theta = np.conj(c_in), -np.conj(theta)
+        c_out = None if c_out is None else np.conj(c_out)
         phase_i = np.exp(1j * u * packet.x_i_tilde)
     base = 2.0 * np.exp(-1j * u * u * tau) * weight * phase_i  # 2u du / u = 2 du
-    return base * c1, th1, base * c2, th2, xoff
+    return base * c_in, None if c_out is None else base * c_out, theta, xoff
 
 
 def _x_phase_span(region, x_abs_max, packet):
@@ -140,18 +143,25 @@ def _component(region, direction, xs, tau, packet, potential, spec):
     Returns (psi values, error estimates, converged flag of the probe).
     """
     x_probe = float(xs[np.argmax(np.abs(xs))])
-    rule, probe, (c1, th1, c2, th2, xoff) = _refined_rule(
+    rule, probe, (c_in, c_out, theta, xoff) = _refined_rule(
         region, direction, x_probe, abs(x_probe), tau, packet, potential, spec
     )
     xi = xs - xoff
+    i_theta = 1j * theta
     psi = np.empty(xs.size, dtype=complex)
     err = np.empty(xs.size, dtype=float)
     # cap the temporary (x chunk) x (nodes) matrices at ~100 MB
     x_chunk = max(1, min(_X_CHUNK, int(6e6 // max(1, rule.u.size))))
     for start in range(0, xs.size, x_chunk):
-        chunk = xi[start:start + x_chunk]
-        fv = np.exp(1j * np.multiply.outer(chunk, th1)) * c1
-        fv += np.exp(1j * np.multiply.outer(chunk, th2)) * c2
+        # fv = c_in E + c_out / E with E = e^{i theta xi}, built in place
+        fv = np.multiply.outer(xi[start:start + x_chunk], i_theta)
+        np.exp(fv, out=fv)
+        if c_out is None:
+            fv *= c_in
+        else:
+            back = c_out / fv
+            fv *= c_in
+            fv += back
         vals, errs = rule.integrate_values(fv)
         psi[start:start + x_chunk] = vals
         err[start:start + x_chunk] = errs
@@ -206,9 +216,10 @@ def evolve(
 def psi_point(packet, potential, x, t, region, quad=None):
     """Wave function and its x-derivative at one point, with a forced region.
 
-    The derivative is taken under the integral (each exponential picks up a
-    factor i*theta), which keeps its accuracy at quadrature level; finite
-    differences of the assembled psi would cancel catastrophically.  Forcing
+    The derivative is taken under the integral (the slope of the region
+    wave is i theta (c_in e^{i theta xi} - c_out e^{-i theta xi})), which
+    keeps its accuracy at quadrature level; finite differences of the
+    assembled psi would cancel catastrophically.  Forcing
     the region lets interface continuity be checked from both sides.
     Raises QuadratureError with the achieved value and estimate when a
     component does not converge.
@@ -220,7 +231,7 @@ def psi_point(packet, potential, x, t, region, quad=None):
     psi = 0.0 + 0.0j
     dpsi = 0.0 + 0.0j
     for direction in ("forward", "backward"):
-        rule, val, (c1, th1, c2, th2, xoff) = _refined_rule(
+        rule, val, (c_in, c_out, theta, xoff) = _refined_rule(
             region, direction, x, abs(x) + 1.0, tau, packet, potential, quad
         )
         if not val.converged:
@@ -230,9 +241,9 @@ def psi_point(packet, potential, x, t, region, quad=None):
                 value=pref * val.value,
                 error_estimate=abs(pref) * val.error_estimate,
             )
-        dval, _ = rule.integrate_values(
-            wave_at((c1 * 1j * th1, th1, c2 * 1j * th2, th2, xoff), x)
-        )
+        i_theta = 1j * theta
+        slope = (i_theta * c_in, None if c_out is None else -i_theta * c_out, theta, xoff)
+        dval, _ = rule.integrate_values(wave_at(slope, x))
         psi += pref * val.value
         dpsi += pref * dval
     return psi, dpsi

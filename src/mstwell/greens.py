@@ -182,8 +182,8 @@ def propagate_kernel(
         beta = -(x_hi + x_lo)
 
         def tail_amp(u):
-            _, th1, c2, th2, xoff = region_waves("left", u, potential)
-            return _JAC * wave_at((0.0, th1, c2, th2, xoff), x_hi) * np.exp(-1j * u * x_lo)
+            _, c_out, theta, xoff = region_waves("left", u, potential)
+            return _JAC * wave_at((0.0, c_out, theta, xoff), x_hi) * np.exp(-1j * u * x_lo)
     else:
         exact_beta = None
         beta = x_hi - x_lo

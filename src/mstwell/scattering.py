@@ -132,6 +132,9 @@ def amplitude_table(e_tilde, potential: PotentialSpec):
 
     Returns (t, t_prime, r_prime, r, denom) as complex arrays.  The branch
     rule makes the same expressions valid above and below both thresholds.
+    At the inner branch point E = U (k_u = 0) denom vanishes; t and r take
+    their finite limits there, while t_prime and r_prime diverge as
+    k_u^{-1/2} and stay non-finite.
     """
     e = np.asarray(e_tilde, dtype=np.float64)
     k = branch_sqrt(e)
@@ -148,6 +151,12 @@ def amplitude_table(e_tilde, potential: PotentialSpec):
     t_prime = 2.0 * sqrt_k * sqrt_ku * (kd + ku) / denom
     r_prime = 2.0 * sqrt_k * sqrt_ku * (ku - kd) * eik / denom
     r = ((k - ku) * (kd + ku) - (k + ku) * (kd - ku) * eik) / denom
+    at_branch = ku == 0
+    if np.any(at_branch):
+        # denom -> 2 k_u d_lim as k_u -> 0; the 0/0 of t and r cancels
+        d_lim = k + kd - 1j * k * kd
+        t = np.where(at_branch, 2.0 * sqrt_k * sqrt_kd / d_lim, t)
+        r = np.where(at_branch, (k - kd - 1j * k * kd) / d_lim, r)
     return t, t_prime, r_prime, r, denom
 
 
@@ -163,36 +172,46 @@ def region_of(x) -> str:
 def region_waves(region, u, potential: PotentialSpec):
     """Flux-normalised forward scattering wave of one region at u = sqrt(E).
 
-    Returns (c1, theta1, c2, theta2, x_offset) with
-    psi_u(x) = c1 e^{i theta1 (x - x_offset)} + c2 e^{i theta2 (x - x_offset)}:
+    Returns (c_in, c_out, theta, x_offset) with
+    psi_u(x) = c_in e^{i theta xi} + c_out e^{-i theta xi}, xi = x - x_offset:
     a unit incident wave e^{iux} from the left, the reflected, inner and
     transmitted waves of the two-step profile, each scaled by
-    sqrt(v / v_region) so every region carries the incident flux.  The
-    backward-moving (time-reversed) wave is its complex conjugate.
+    sqrt(v / v_region) so every region carries the incident flux.  The two
+    waves of a region share one wave number theta with opposite signs; the
+    right region has no counter-propagating wave, and there c_out is None.
+    The backward-moving (time-reversed) wave is the complex conjugate,
+    (conj(c_in), conj(c_out), -conj(theta), x_offset) in this format.
     """
     u = np.asarray(u, dtype=np.float64)
     e = u * u
     t, tp, rp, r, _ = amplitude_table(e, potential)
     if region == "left":
-        return np.ones_like(u, dtype=complex), u + 0j, r, -u + 0j, 0.0
+        return np.ones_like(u, dtype=complex), r, u + 0j, 0.0
     if region == "inside":
         ku = branch_sqrt(e - potential.u_tilde)
         # sqrt(v / v_u) = sqrt(u) / sqrt(k_u), fourth root fixing the branch
         c = np.sqrt(u) / quartic_root(e - potential.u_tilde)
-        return c * tp, ku, c * rp, -ku, 0.0
+        return c * tp, c * rp, ku, 0.0
     if region == "right":
         kd = branch_sqrt(e - potential.delta_tilde)
         c = np.sqrt(u) / quartic_root(e - potential.delta_tilde)
-        zero = np.zeros_like(u, dtype=complex)
-        return c * t, kd, zero, zero, 1.0
+        return c * t, None, kd, 1.0
     raise ValueError(f"unknown region {region!r}")
 
 
 def wave_at(waves, x):
-    """Evaluate c1 e^{i theta1 (x - x_offset)} + c2 e^{i theta2 (x - x_offset)}."""
-    c1, th1, c2, th2, x_offset = waves
-    xi = x - x_offset
-    return c1 * np.exp(1j * th1 * xi) + c2 * np.exp(1j * th2 * xi)
+    """Evaluate c_in e^{i theta xi} + c_out e^{-i theta xi} at xi = x - x_offset.
+
+    One exponential serves both waves (e^{-i theta xi} = 1 / e^{i theta xi});
+    without a counter-propagating wave (c_out None) the value is c_in
+    e^{i theta xi}, which stays finite where a decaying exponential
+    underflows to 0.
+    """
+    c_in, c_out, theta, x_offset = waves
+    e = np.exp(1j * theta * (x - x_offset))
+    if c_out is None:
+        return c_in * e
+    return c_in * e + c_out / e
 
 
 def mst_compose(e_tilde, potential: PotentialSpec) -> ScatteringSet:

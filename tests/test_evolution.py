@@ -16,7 +16,9 @@ from mstwell import (
     norm_integral,
     psi_point,
     stationary_density,
+    wave_at,
 )
+from mstwell.evolution import _refined_rule, _region_masks, packet_prefactor
 
 FREE = PotentialSpec(0.0, 0.0)
 PACKET = PacketSpec(100.0, 0.1, -10.0)
@@ -72,6 +74,32 @@ class TestDecomposition:
     def test_rejects_times_before_t0(self):
         with pytest.raises(ValueError):
             evolve(PACKET, FREE, [0.0], [0.0])
+
+
+class TestDenseReference:
+    def test_x_assembly_matches_per_point_sums(self):
+        # evolve builds c_in E + c_out / E in place for a whole x chunk; the
+        # reference evaluates the region wave at one x at a time on the same
+        # refined rule.  The backward values cancel to ~1e-6 of the integral
+        # of |integrand|, which is therefore the scale round-off is relative to.
+        pot = PotentialSpec(10.0, 40.0)
+        x = np.array([-1.5, -0.7, -0.1, 0.2, 0.5, 0.9, 1.1, 1.4, 2.0])
+        t = 0.5
+        field = evolve(PACKET, pot, x, [t])
+        pref = packet_prefactor(PACKET)
+        for region, mask in _region_masks(x).items():
+            xs = x[mask]
+            x_probe = float(xs[np.argmax(np.abs(xs))])
+            for direction, psi in (("forward", field.psi_fwd), ("backward", field.psi_bwd)):
+                rule, _, waves = _refined_rule(
+                    region, direction, x_probe, abs(x_probe), t - PACKET.t0_tilde,
+                    PACKET, pot, QuadratureSpec(),
+                )
+                for xv, value in zip(xs, psi[0, mask]):
+                    fv = wave_at(waves, xv)
+                    dense, _ = rule.integrate_values(fv)
+                    mass, _ = rule.integrate_values(np.abs(fv))
+                    assert abs(value - pref * dense) <= 1e-13 * abs(pref) * mass
 
 
 class TestPsiPoint:

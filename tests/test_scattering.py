@@ -194,10 +194,38 @@ class TestRegionWaves:
 
     @staticmethod
     def _value_and_slope(region, u, x, pot):
-        c1, th1, c2, th2, xoff = region_waves(region, u, pot)
-        value = wave_at((c1, th1, c2, th2, xoff), x)
-        slope = wave_at((1j * th1 * c1, th1, 1j * th2 * c2, th2, xoff), x)
+        c_in, c_out, theta, xoff = region_waves(region, u, pot)
+        value = wave_at((c_in, c_out, theta, xoff), x)
+        d_out = None if c_out is None else -1j * theta * c_out
+        slope = wave_at((1j * theta * c_in, d_out, theta, xoff), x)
         return complex(value), complex(slope)
+
+    @pytest.mark.parametrize("e,pot", CASES)
+    def test_equals_two_exponential_sum(self, e, pot):
+        u = np.array([math.sqrt(e)])
+        packet = PacketSpec(e, 0.2, -5.0)
+        for region, x in (("left", -0.4), ("inside", 0.6), ("right", 1.7)):
+            for direction in ("forward", "backward"):
+                waves = _region_coeffs(region, direction, u, 0.3, packet, pot)
+                c_in, c_out, theta, xoff = waves
+                xi = x - xoff
+                explicit = c_in * np.exp(1j * theta * xi)
+                if c_out is not None:
+                    explicit = explicit + c_out * np.exp(-1j * theta * xi)
+                assert wave_at(waves, x)[0] == pytest.approx(explicit[0], rel=1e-14)
+
+    def test_deep_evanescent_exit_is_finite(self):
+        # far beyond the drop e^{i theta xi} underflows to 0 (theta = i kappa,
+        # kappa xi ~ 1e3): the transmitted wave is 0, never 0/0
+        pot = PotentialSpec(10.0, 5000.0)
+        u = np.array([math.sqrt(30.0)])
+        c_in, c_out, theta, xoff = region_waves("right", u, pot)
+        assert c_out is None
+        assert np.exp(1j * theta * 100.0)[0] == 0.0
+        packet = PacketSpec(30.0, 0.2, -5.0)
+        for direction in ("forward", "backward"):
+            waves = _region_coeffs("right", direction, u, 0.3, packet, pot)
+            assert wave_at(waves, 101.0)[0] == 0.0  # not NaN
 
     @pytest.mark.parametrize("e,pot", CASES)
     def test_matching_and_time_reversal(self, e, pot):
@@ -217,6 +245,24 @@ class TestRegionWaves:
             bwd = wave_at(_region_coeffs(region, "backward", uu, tau, packet, pot), x)
             fwd = wave_at(region_waves(region, uu, pot), x)
             assert bwd[0] == pytest.approx(base[0] * np.conj(fwd[0]), rel=1e-14)
+
+
+@pytest.mark.parametrize("e,d", [(10.0, 40.0), (50.0, 0.0), (100.0, 40.0)])
+def test_inner_branch_point_takes_the_limit(e, d):
+    # at E = U, k_u = 0 makes denom 0/0: t and r equal their limits from
+    # either side, while t' and r' diverge as k_u^{-1/2} and stay non-finite
+    pot = PotentialSpec(e, d)
+    with np.errstate(invalid="ignore"):
+        t, tp, rp, r, _ = mw.amplitude_table(e * (1.0 + np.array([-1e-10, 0.0, 1e-10])), pot)
+    for amp in (t, r):
+        assert np.isfinite(amp[1])
+        assert abs(amp[1] - amp[0]) < 1e-7
+        assert abs(amp[1] - amp[2]) < 1e-7
+    assert not np.isfinite(tp[1]) and not np.isfinite(rp[1])
+    if e > d:
+        assert abs(t[1]) ** 2 + abs(r[1]) ** 2 == pytest.approx(1.0, abs=1e-14)
+    else:
+        assert abs(r[1]) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_vectorized_table_matches_scalar():

@@ -24,7 +24,6 @@ from .evolution import (
     density,
     evolve,
     norm_integral,
-    norm_window,
     psi_point,
     stationary_density,
 )
@@ -49,11 +48,10 @@ from .grid import (
 from .model import PotentialSpec, branch_sqrt, quartic_root
 from .packet import (
     PacketSpec,
-    SpectralAmplitudes,
     backward_peak_ratio,
     cutoff_tail_mass,
     gaussian_weight,
-    spectral_amplitudes,
+    spectral_modulus,
     validity_report,
 )
 from .quadrature import (
@@ -61,7 +59,7 @@ from .quadrature import (
     QuadratureSpec,
     QuadResult,
     SpectralRule,
-    integrate_spectral,
+    spectral_rule,
     spectral_window,
 )
 from .scattering import (

@@ -79,7 +79,6 @@ _DEFAULTS = {
     "oracle.max_compare_points": "4001",
     "sweep.key": "",
     "sweep.values": "",
-    "output.format": "csv",
 }
 
 _KNOWN_KEYS = set(_DEFAULTS) | {"output.path"}
@@ -212,9 +211,9 @@ def _emit(lines, cfg, out_path=None):
         sys.stdout.write(text)
 
 
-def cmd_amplitudes(cfg, e_range=None):
+def cmd_amplitudes(cfg):
     potential, _, _ = _build_objects(cfg)
-    e = np.asarray(e_range) if e_range is not None else _axis(cfg, "amplitudes.e")
+    e = _axis(cfg, "amplitudes.e")
     if np.any(e <= 0):
         raise ConfigError("amplitude sweep energies must be positive")
     t, tp, rp, r, _ = amplitude_table(e, potential)
@@ -259,20 +258,20 @@ def _density_lines(cfg, potential, packet, quad):
     return lines, code
 
 
-def cmd_density(cfg, out_path=None):
+def cmd_density(cfg):
     _, packet, quad = _build_objects(cfg)
     sweep_key = cfg.get("sweep.key", "")
     if not sweep_key:
         potential, _, _ = _build_objects(cfg)
         lines, code = _density_lines(cfg, potential, packet, quad)
-        _emit(lines, cfg, out_path)
+        _emit(lines, cfg)
         return code
     if sweep_key not in _KNOWN_KEYS:
         raise ConfigError(f"sweep.key: unknown key {sweep_key!r}")
     values = _get_floats(cfg, "sweep.values")
     if not values:
         raise ConfigError("sweep.values is empty")
-    base = out_path or cfg.get("output.path")
+    base = cfg.get("output.path")
     if not base:
         raise ConfigError("sweep runs need an output path (per-value files)")
     base = Path(base)
@@ -289,9 +288,9 @@ def cmd_density(cfg, out_path=None):
     return worst
 
 
-def cmd_dwell(cfg, u_range=None):
+def cmd_dwell(cfg):
     _, packet, quad = _build_objects(cfg)
-    u_vals = np.asarray(u_range) if u_range is not None else _axis(cfg, "dwell.u")
+    u_vals = _axis(cfg, "dwell.u")
     delta = _get_float(cfg, "potential.delta_tilde")
     lines = _metadata_lines(cfg, "dwell")
     lines.append(

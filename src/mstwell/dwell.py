@@ -1,10 +1,11 @@
 """Dwell time in the profile region: energy densities, totals, and limits.
 
 The time spent between the two steps splits into forward, backward, and
-interference contributions of the packet's spectral content.  The x
-integrals over the inner region are done in closed form (they are sums of
-exponentials); the remaining energy integrals go through the shared
-spectral quadrature.  One complex-analytic expression per quantity covers
+interference contributions of the packet's spectral content, weighted by
+m_>^2, m_<^2 and m_> m_< e^{-2iu x_i} with m = ``spectral_modulus``.  The
+x integrals over the inner region are done in closed form (they are sums
+of exponentials); the energy integrals run over u = sqrt(E) on
+``spectral_rule``.  One complex-analytic expression per quantity covers
 all regimes (over-barrier, tunneling, sub-threshold), so the printed
 regime-by-regime variants become test assertions instead of code paths.
 
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import PotentialSpec, branch_sqrt
-from .packet import PacketSpec
-from .quadrature import OSC_ALLOWANCE, QuadratureSpec, integrate_spectral
+from .packet import PacketSpec, spectral_modulus
+from .quadrature import OSC_ALLOWANCE, QuadratureSpec, spectral_rule, spectral_window
 from .scattering import region_waves, wave_at
 
 
@@ -35,8 +36,8 @@ def _expi_ratio(c):
     return np.where(small, series, out)
 
 
-def _inner_pieces(e_tilde, potential: PotentialSpec):
-    """Closed x-integrated quantities at energy e (vectorized).
+def _inner_pieces(u, potential: PotentialSpec):
+    """Closed x-integrated quantities at energy E = u^2 (vectorized).
 
     Returns (t_of_e, kernel):
       t_of_e  = Int_0^1 |psi_u(x)|^2 dx / (2u)   (a time)
@@ -44,7 +45,7 @@ def _inner_pieces(e_tilde, potential: PotentialSpec):
     with psi_u the inner region wave; each term of |psi_u|^2 and psi_u^2 is
     one exponential, integrated over 0 < x < 1 in closed form.
     """
-    u = np.sqrt(np.asarray(e_tilde, dtype=float))
+    u = np.asarray(u, dtype=float)
     a, b, th, _ = region_waves("inside", u, potential)
     decay = 1j * (th - np.conj(th))
     abs_psi2 = (
@@ -58,7 +59,7 @@ def _inner_pieces(e_tilde, potential: PotentialSpec):
 
 def dwell_energy_density(e_tilde, potential: PotentialSpec) -> dict:
     """Per-energy dwell time t(E;d) and the bare interference kernel."""
-    t_of_e, kernel = _inner_pieces(np.atleast_1d(float(e_tilde)), potential)
+    t_of_e, kernel = _inner_pieces(np.sqrt(np.atleast_1d(float(e_tilde))), potential)
     return {"t_of_E": float(t_of_e[0]), "interference_kernel": complex(kernel[0])}
 
 
@@ -72,17 +73,6 @@ def inner_integrals_brute(e_tilde, potential: PotentialSpec, n=400):
     t_of_e = float(np.sum(w * np.abs(psi) ** 2) / (2.0 * u))
     kernel = complex(np.sum(w * psi * psi) / (2.0 * u))
     return t_of_e, kernel
-
-
-def _spectral_density(u, packet: PacketSpec, direction):
-    """|psi_>(E)|^2 or |psi_<(E)|^2 in dimensionless form, as a function of u."""
-    p = packet
-    sign = -1.0 if direction == "forward" else 1.0
-    return (
-        p.sigma_tilde
-        / (math.sqrt(2.0 * math.pi) * u)
-        * np.exp(-2.0 * (u + sign * p.u_perp) ** 2 * p.sigma_tilde ** 2)
-    )
 
 
 @dataclass
@@ -105,62 +95,42 @@ def dwell_total(
         quad = QuadratureSpec()
     branch = potential.branch_energies()
 
-    def f_fwd(e):
-        t_of_e, _ = _inner_pieces(e, potential)
-        return t_of_e * _spectral_density(np.sqrt(e), packet, "forward")
+    def interference(u, t_of_e, kernel):
+        m_m = spectral_modulus(u, packet, "forward") * spectral_modulus(u, packet, "backward")
+        return 2.0 * np.real(kernel * (m_m * np.exp(-2j * u * packet.x_i_tilde)))
 
-    def f_bwd(e):
-        t_of_e, _ = _inner_pieces(e, potential)
-        return t_of_e * _spectral_density(np.sqrt(e), packet, "backward")
-
-    def cross(u):
-        """psi_>(E) psi_<(E)* in dimensionless form, as a function of u."""
-        p = packet
-        return (
-            p.sigma_tilde
-            / (math.sqrt(2.0 * math.pi) * u)
-            * np.exp(-2j * u * p.x_i_tilde)
-            * np.exp(-((u - p.u_perp) ** 2) * p.sigma_tilde ** 2)
-            * np.exp(-((u + p.u_perp) ** 2) * p.sigma_tilde ** 2)
-        )
-
-    def f_int(e):
-        _, kernel = _inner_pieces(e, potential)
-        return 2.0 * np.real(kernel * cross(np.sqrt(e)))
-
-    r_fwd = integrate_spectral(
-        f_fwd, packet, 0.0, OSC_ALLOWANCE, branch, quad, direction="forward"
-    )
-    r_bwd = integrate_spectral(
-        f_bwd, packet, 0.0, OSC_ALLOWANCE, branch, quad, direction="backward"
-    )
-    r_int = integrate_spectral(
-        f_int, packet, 0.0, 2.0 * abs(packet.x_i_tilde) + OSC_ALLOWANCE, branch, quad,
-        direction="backward",
-    )
-
-    tau_fwd = float(np.real(r_fwd.value))
-    tau_bwd = float(np.real(r_bwd.value))
-    tau_int = float(np.real(r_int.value))
-
-    u_hi = packet.u_perp + quad.window_w / packet.sigma_tilde
-    u_tab = np.linspace(1e-3, u_hi, 512)
-    e_tab = u_tab * u_tab
-    t_tab, k_tab = _inner_pieces(e_tab, potential)
-    energy_density = {
-        "e_tilde": e_tab,
-        "fwd": t_tab * _spectral_density(u_tab, packet, "forward"),
-        "bwd": t_tab * _spectral_density(u_tab, packet, "backward"),
-        "interference": 2.0 * np.real(k_tab * cross(u_tab)),
+    # component: (spectral window, x-driven phase rate, density per unit E
+    # from the inner pieces t(E) and kernel(E))
+    components = {
+        "fwd": ("forward", OSC_ALLOWANCE,
+                lambda u, t_of_e, _: t_of_e * spectral_modulus(u, packet, "forward") ** 2),
+        "bwd": ("backward", OSC_ALLOWANCE,
+                lambda u, t_of_e, _: t_of_e * spectral_modulus(u, packet, "backward") ** 2),
+        "interference": ("backward", 2.0 * abs(packet.x_i_tilde) + OSC_ALLOWANCE,
+                         interference),
     }
+    _, u_hi = spectral_window(packet.u_perp, packet.sigma_tilde, "forward", quad.window_w)
+    u_tab = np.linspace(1e-3, u_hi, 512)
+    pieces_tab = _inner_pieces(u_tab, potential)
+    energy_density = {"e_tilde": u_tab * u_tab}
+    tau = {}
+    converged = True
+    for name, (direction, x_span, dens) in components.items():
+        rule = spectral_rule(packet, direction, branch, 0.0, x_span, quad)
+        res = rule.refine_against(
+            lambda u, dens=dens: 2.0 * u * dens(u, *_inner_pieces(u, potential))
+        )
+        tau[name] = float(np.real(res.value))
+        converged = converged and res.converged
+        energy_density[name] = dens(u_tab, *pieces_tab)
 
     return DwellBreakdown(
-        tau_fwd=tau_fwd,
-        tau_bwd=tau_bwd,
-        tau_interference=tau_int,
-        tau_total=tau_fwd + tau_bwd + tau_int,
+        tau_fwd=tau["fwd"],
+        tau_bwd=tau["bwd"],
+        tau_interference=tau["interference"],
+        tau_total=tau["fwd"] + tau["bwd"] + tau["interference"],
         energy_density=energy_density,
-        converged=r_fwd.converged and r_bwd.converged and r_int.converged,
+        converged=converged,
     )
 
 

@@ -222,10 +222,12 @@ def psi_point(packet, potential, x, t, region, quad=None):
     assembled psi would cancel catastrophically.  Forcing
     the region lets interface continuity be checked from both sides.
     Raises QuadratureError with the achieved value and estimate when a
-    component does not converge.
+    component does not converge, and ValueError for t <= t0_tilde.
     """
     if quad is None:
         quad = QuadratureSpec()
+    if t <= packet.t0_tilde:
+        raise ValueError("t must exceed t0_tilde")
     tau = t - packet.t0_tilde
     pref = packet_prefactor(packet)
     psi = 0.0 + 0.0j
@@ -257,13 +259,6 @@ def stationary_density(x, e_perp_tilde, potential: PotentialSpec, sigma) -> floa
     """
     waves = region_waves(region_of(x), math.sqrt(float(e_perp_tilde)), potential)
     return float(abs(wave_at(waves, x)) ** 2) / (math.sqrt(2.0 * math.pi) * sigma)
-
-
-def norm_window(packet: PacketSpec, t_max, window_w=8.0):
-    """Ballistic bound on the support of the density up to t_max."""
-    u_max = packet.u_perp + window_w / packet.sigma_tilde
-    half = abs(packet.x_i_tilde) + 10.0 * packet.sigma_tilde + 2.0 * u_max * t_max
-    return -half, half
 
 
 def norm_integral(field: WaveField, time_index: int) -> float:

@@ -33,6 +33,15 @@ class GridConfigError(ValueError):
     """Grid parameters violate a stability/resolution invariant."""
 
 
+def _scenario_bounds(packet: PacketSpec, window_w: float, t_max: float):
+    """(e_max, step_rate, margin): the spectral window's top energy, the cap
+    dt <= dx / step_rate, and the reach the domain needs beyond x_i and 1."""
+    e_max = (packet.u_perp + window_w / packet.sigma_tilde) ** 2
+    step_rate = 4.0 * math.sqrt(e_max)
+    margin = 10.0 * packet.sigma_tilde + 2.0 * math.sqrt(e_max) * t_max
+    return e_max, step_rate, margin
+
+
 @dataclass(frozen=True)
 class GridSpec:
     x_min: float
@@ -47,16 +56,15 @@ class GridSpec:
 
     def validate(self, packet: PacketSpec, t_max: float):
         """Resolution and coverage invariants for a given scenario."""
-        e_max = (packet.u_perp + self.window_w / packet.sigma_tilde) ** 2
+        e_max, step_rate, margin = _scenario_bounds(packet, self.window_w, t_max)
         dx_cap = (2.0 * math.pi / math.sqrt(e_max)) / 16.0
         if self.dx > dx_cap * (1.0 + 1e-12):
             raise GridConfigError(
                 f"dx={self.dx} exceeds the 16-points-per-wavelength cap {dx_cap}"
             )
-        dt_cap = self.dx / (4.0 * math.sqrt(e_max))
+        dt_cap = self.dx / step_rate
         if self.dt > dt_cap * (1.0 + 1e-12):
             raise GridConfigError(f"dt={self.dt} exceeds the cap {dt_cap}")
-        margin = 10.0 * packet.sigma_tilde + 2.0 * math.sqrt(e_max) * t_max
         lo_need = packet.x_i_tilde - margin
         hi_need = 1.0 + margin
         if self.x_min > lo_need or self.x_max < hi_need:
@@ -84,15 +92,14 @@ def grid_for_scenario(
     The spacing cap also accounts for the extra wave number picked up over
     a well (U or Delta below zero), which the generic invariant ignores.
     """
-    e_max = (packet.u_perp + window_w / packet.sigma_tilde) ** 2
+    e_max, step_rate, margin = _scenario_bounds(packet, window_w, t_max)
     depth = max(0.0, -min(potential.u_tilde, potential.delta_tilde, 0.0))
     dx_cap = (2.0 * math.pi / math.sqrt(e_max + depth)) / 16.0 / dx_refine
     # snap the spacing so the potential jumps at x = 0 and x = 1 fall exactly
     # on grid nodes; otherwise the effective barrier edges shift by O(dx)
     # and that misalignment dominates every other discretization error
     dx = 1.0 / math.ceil(1.0 / dx_cap)
-    dt = dx / (4.0 * math.sqrt(e_max)) / dt_refine
-    margin = 10.0 * packet.sigma_tilde + 2.0 * math.sqrt(e_max) * t_max
+    dt = dx / step_rate / dt_refine
     spec = GridSpec(
         x_min=-dx * math.ceil((margin - packet.x_i_tilde) / dx),
         x_max=1.0 + dx * math.ceil(margin / dx),

@@ -2,8 +2,9 @@
 
 The initial state is a Gaussian centered at x_i < 0 moving to the right
 with mean energy E_perp.  Its positive- and negative-momentum content maps
-to forward/backward spectral amplitudes over E > 0; both are plain
-Gaussians in u = sqrt(E) centered at +/- u_perp.
+to forward/backward spectral amplitudes psi_>(E), psi_<(E) over E > 0;
+in u = sqrt(E) their moduli are plain Gaussians centered at +/- u_perp
+(``gaussian_weight``) over a 1/sqrt(u) factor (``spectral_modulus``).
 """
 
 from __future__ import annotations
@@ -47,43 +48,6 @@ class PacketSpec:
         return self.e_perp_tilde * self.sigma_tilde ** 2
 
 
-@dataclass(frozen=True)
-class SpectralAmplitudes:
-    """Forward/backward spectral weights psi_>(E), psi_<(E) as callables."""
-
-    packet: PacketSpec
-
-    def _common(self, e_tilde):
-        e = np.asarray(e_tilde, dtype=float)
-        u = np.sqrt(e)
-        v = 2.0 * u
-        return u, (2.0 * math.pi * self.packet.sigma_tilde ** 2) ** 0.25 / np.sqrt(
-            math.pi * v
-        )
-
-    def psi_fwd(self, e_tilde):
-        u, pref = self._common(e_tilde)
-        p = self.packet
-        return (
-            pref
-            * np.exp(1j * (p.u_perp - u) * p.x_i_tilde)
-            * np.exp(-((p.u_perp - u) ** 2) * p.sigma_tilde ** 2)
-        )
-
-    def psi_bwd(self, e_tilde):
-        u, pref = self._common(e_tilde)
-        p = self.packet
-        return (
-            pref
-            * np.exp(1j * (p.u_perp + u) * p.x_i_tilde)
-            * np.exp(-((p.u_perp + u) ** 2) * p.sigma_tilde ** 2)
-        )
-
-
-def spectral_amplitudes(packet: PacketSpec) -> SpectralAmplitudes:
-    return SpectralAmplitudes(packet)
-
-
 def gaussian_weight(u, packet: PacketSpec, direction):
     """The bare Gaussian spectral weight in u = sqrt(E), per direction."""
     u = np.asarray(u, dtype=float)
@@ -92,6 +56,13 @@ def gaussian_weight(u, packet: PacketSpec, direction):
     if direction == "backward":
         return np.exp(-((u + packet.u_perp) ** 2) * packet.sigma_tilde ** 2)
     raise ValueError(f"unknown direction {direction!r}")
+
+
+def spectral_modulus(u, packet: PacketSpec, direction):
+    """|psi_>(E)| or |psi_<(E)| at E = u^2; the two squares carry unit mass in E."""
+    u = np.asarray(u, dtype=float)
+    scale = np.sqrt(packet.sigma_tilde / (math.sqrt(2.0 * math.pi) * u))
+    return scale * gaussian_weight(u, packet, direction)
 
 
 def cutoff_tail_mass(packet: PacketSpec) -> float:

@@ -2,10 +2,10 @@
 
 All energy integrals in this package share one shape: a semi-infinite
 integral over E of an oscillatory integrand damped by a Gaussian spectral
-weight centered at sqrt(E) = sqrt(E_perp).  The substitution u = sqrt(E)
-(dE = 2u du) removes the integrable 1/sqrt(E) endpoint singularity and
-turns the weights into plain Gaussians in u, after which the integral is
-effectively compact: the forward weight is truncated to
+weight centered at sqrt(E) = sqrt(E_perp).  Each is written over
+u = sqrt(E), with dE = 2u du in the integrand; that removes the integrable
+1/sqrt(E) endpoint singularity and turns the weights into plain Gaussians
+in u, after which the integral is effectively compact: the forward weight is truncated to
 u in [max(0, u_perp - W/sigma), u_perp + W/sigma] and the backward weight
 to u in [0, u_perp + W/sigma] (tail mass e^{-W^2} < 1e-27 at the default
 W = 8).
@@ -13,13 +13,15 @@ W = 8).
 Panels are seeded so the phase change per panel is bounded,
 |d(u^2)|*t + |du|*x_span <= phase_per_panel, split exactly at channel
 branch points, and then refined adaptively with the embedded 7/15
-Gauss-Kronrod pair.  Totals are compensated sums over panels in fixed
-ascending-edge order, so results are bit-identical for identical inputs.
+Gauss-Kronrod pair.  ``adaptive_panels`` totals panels with a compensated
+sum (``math.fsum``) in ascending-edge order, ``integrate_values`` with
+``np.add.reduce`` in the rule's panel order (also ascending), so results
+are bit-identical for identical inputs.
 
 ``SpectralRule`` is the one engine: every integral of the package (the
 packet components, the dwell integrals and the space-time kernel) seeds a
-rule, refines it against one integrand and, where many integrands share
-the window, reuses its nodes.
+rule, refines it against one integrand g(u) and, where many integrands
+share the window, reuses its nodes.
 """
 
 from __future__ import annotations
@@ -153,15 +155,22 @@ def phase_capped_edges(lo, hi, u_breaks, t_scale, x_span, phase_cap, max_panels)
     return edges
 
 
+def _kronrod_nodes(a, b):
+    """Kronrod nodes of the panels [a, b], shape (panels, 15), and half-widths."""
+    half = 0.5 * (b - a)
+    return (0.5 * (a + b))[:, None] + half[:, None] * XGK, half
+
+
+def _kronrod_sums(fv, half):
+    """Per-panel (value, error) from integrand values of shape (..., panels, 15)."""
+    return (fv @ WGK) * half, np.abs((fv @ WERR) * half)
+
+
 def _panel_eval(g, a, b):
     """Evaluate one batch of panels; returns per-panel (value, error)."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    u = mid[:, None] + half[:, None] * XGK[None, :]
+    u, half = _kronrod_nodes(a, b)
     fv = np.asarray(g(u.ravel()), dtype=np.complex128).reshape(u.shape)
-    vals = (fv @ WGK) * half
-    errs = np.abs((fv @ WERR) * half)
-    return vals, errs
+    return _kronrod_sums(fv, half)
 
 
 def _fixed_order_sum(a, vals):
@@ -217,31 +226,14 @@ def adaptive_panels(g, edges, spec: QuadratureSpec):
 
 
 def spectral_rule(packet, direction, branch_points, t_scale, x_span, spec) -> SpectralRule:
-    """Rule over the spectral window of ``packet``, split at the branch energies."""
+    """Rule over the spectral window of ``packet``, split at the branch energies.
+
+    ``t_scale`` and ``x_span`` bound the phase rates in u^2 and u of the
+    integrands g(u) (E-integrand times 2u, with the weight of ``direction``).
+    """
     lo, hi = spectral_window(packet.u_perp, packet.sigma_tilde, direction, spec.window_w)
     u_breaks = [math.sqrt(bp) for bp in branch_points if bp > 0]
     return SpectralRule(lo, hi, u_breaks, t_scale, x_span, spec)
-
-
-def integrate_spectral(
-    f,
-    packet,
-    t_tilde,
-    x_span,
-    branch_points=(),
-    spec: QuadratureSpec | None = None,
-    direction="forward",
-) -> QuadResult:
-    """Integrate f(E) over the spectral window of ``packet``.
-
-    ``f`` receives an array of energies and must include the Gaussian weight
-    of the requested direction; ``t_tilde`` and ``x_span`` bound the phase
-    rates of its oscillatory factors for panel sizing.
-    """
-    if spec is None:
-        spec = QuadratureSpec()
-    rule = spectral_rule(packet, direction, branch_points, t_tilde, x_span, spec)
-    return rule.refine_against(lambda u: 2.0 * u * np.asarray(f(u * u)))
 
 
 class SpectralRule:
@@ -261,12 +253,9 @@ class SpectralRule:
         self._build()
 
     def _build(self):
-        a = self.edges[:-1]
-        b = self.edges[1:]
-        mid = 0.5 * (a + b)
-        self._half = 0.5 * (b - a)
-        self.u = (mid[:, None] + self._half[:, None] * XGK[None, :]).ravel()
-        self.n_panels = a.size
+        u, self._half = _kronrod_nodes(self.edges[:-1], self.edges[1:])
+        self.u = u.ravel()
+        self.n_panels = self._half.size
 
     def refine_against(self, probe_g):
         """Adaptively refine the edges until ``probe_g`` converges.
@@ -285,6 +274,5 @@ class SpectralRule:
         the panel reduction in fixed ascending order.
         """
         shaped = fv.reshape(fv.shape[:-1] + (self.n_panels, 15))
-        vals = (shaped @ WGK) * self._half
-        errs = np.abs((shaped @ WERR) * self._half)
+        vals, errs = _kronrod_sums(shaped, self._half)
         return np.add.reduce(vals, axis=-1), np.sum(errs, axis=-1)

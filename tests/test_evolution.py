@@ -123,6 +123,12 @@ class TestPsiPoint:
             assert abs(va[0] - vb[0]) < 1e-8 * scale
             assert abs(va[1] - vb[1]) < 1e-8 * dscale
 
+    def test_rejects_time_not_after_t0(self):
+        packet = PacketSpec(100.0, 0.1, -10.0, t0_tilde=-0.5)
+        for t in (-0.5, -1.0):
+            with pytest.raises(ValueError, match="exceed t0_tilde"):
+                psi_point(packet, self.POT, -10.0, t, "left")
+
     def test_nonconverged_probe_raises(self):
         with pytest.raises(QuadratureError) as info:
             psi_point(PACKET, self.POT, 0.5, 0.5, "inside", QuadratureSpec(max_panels=2))

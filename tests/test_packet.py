@@ -11,11 +11,20 @@ from mstwell import (
     PacketSpec,
     backward_peak_ratio,
     cutoff_tail_mass,
+    QuadratureSpec,
     gaussian_weight,
-    integrate_spectral,
-    spectral_amplitudes,
+    spectral_modulus,
+    spectral_rule,
     validity_report,
 )
+
+
+def _spectral_mass(packet, direction):
+    """Int |psi(E)|^2 dE of one direction, over u with the Jacobian 2u."""
+    rule = spectral_rule(packet, direction, (), 0.0, 0.0, QuadratureSpec())
+    return rule.refine_against(
+        lambda u: 2.0 * u * spectral_modulus(u, packet, direction) ** 2
+    )
 
 
 def test_rejects_bad_parameters():
@@ -39,26 +48,35 @@ class TestSpectralNorm:
     def test_total_spectral_mass_is_one(self, sigma):
         # Int (|psi_>|^2 + |psi_<|^2) dE = 1 for the full Gaussian
         packet = PacketSpec(100.0, sigma, -10.0)
-        amps = spectral_amplitudes(packet)
-        fwd = integrate_spectral(
-            lambda e: np.abs(amps.psi_fwd(e)) ** 2, packet, 0.0, 0.0
-        )
-        bwd = integrate_spectral(
-            lambda e: np.abs(amps.psi_bwd(e)) ** 2,
-            packet, 0.0, 0.0, direction="backward",
-        )
+        fwd = _spectral_mass(packet, "forward")
+        bwd = _spectral_mass(packet, "backward")
         assert fwd.converged and bwd.converged
         total = fwd.value.real + bwd.value.real
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_narrowband_forward_dominance(self):
         packet = PacketSpec(100.0, 1 / 3, -10.0)
-        amps = spectral_amplitudes(packet)
-        bwd = integrate_spectral(
-            lambda e: np.abs(amps.psi_bwd(e)) ** 2,
-            packet, 0.0, 0.0, direction="backward",
-        )
+        bwd = _spectral_mass(packet, "backward")
         assert bwd.value.real < 1e-9
+
+
+class TestSpectralModulus:
+    @pytest.mark.parametrize("direction, sign", [("forward", -1.0), ("backward", 1.0)])
+    def test_square_is_the_spectral_density(self, direction, sign):
+        packet = PacketSpec(100.0, 0.2, -5.0)
+        sig = packet.sigma_tilde
+        u = np.linspace(0.05, 50.0, 200)
+        expected = (
+            sig / (math.sqrt(2.0 * math.pi) * u)
+            * np.exp(-2.0 * (u + sign * packet.u_perp) ** 2 * sig ** 2)
+        )
+        np.testing.assert_allclose(
+            spectral_modulus(u, packet, direction) ** 2, expected, rtol=1e-14, atol=0.0
+        )
+
+    def test_unknown_direction(self):
+        with pytest.raises(ValueError):
+            spectral_modulus(1.0, PacketSpec(100.0, 0.1, -10.0), "up")
 
 
 class TestGaussianWeight:

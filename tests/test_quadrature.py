@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mstwell import PacketSpec, QuadratureSpec, integrate_spectral, spectral_window
+from mstwell import PacketSpec, QuadratureSpec, spectral_rule, spectral_window
 from mstwell.quadrature import (
     WG,
     WGK,
@@ -140,7 +140,14 @@ class TestAdaptive:
         assert res.converged
 
 
+def _integrate(g, packet, t_scale, x_span, branch_points=()):
+    rule = spectral_rule(packet, "forward", branch_points, t_scale, x_span, QuadratureSpec())
+    return rule.refine_against(g)
+
+
 class TestIntegrateSpectral:
+    """Integrals over u = sqrt(E) on a packet's spectral window."""
+
     def test_forward_mass_closed_form(self):
         # the spectral density is a unit normal in u = sqrt(E) with mean
         # u_perp and width 1/(2 sigma); its E > 0 mass is Phi(2 u_perp sigma)
@@ -149,15 +156,15 @@ class TestIntegrateSpectral:
         packet = PacketSpec(100.0, 0.1, -10.0)
         sig = packet.sigma_tilde
 
-        def f(e):
-            u = np.sqrt(e)
+        def g(u):
+            # density per unit E times dE/du = 2u
             return (
-                sig
+                2.0 * u * sig
                 / (math.sqrt(2.0 * math.pi) * u)
                 * np.exp(-2.0 * (u - packet.u_perp) ** 2 * sig**2)
             )
 
-        res = integrate_spectral(f, packet, 0.0, 0.0)
+        res = _integrate(g, packet, 0.0, 0.0)
         expected = 0.5 * erfc(-2.0 * packet.u_perp * sig / math.sqrt(2.0))
         assert res.converged
         assert res.value.real == pytest.approx(expected, rel=1e-8)
@@ -166,23 +173,22 @@ class TestIntegrateSpectral:
         # integrable kink at E = 50 is handled by the mandatory panel split
         packet = PacketSpec(100.0, 0.3, -10.0)
 
-        def f(e):
-            return np.sqrt(np.abs(e - 50.0)) * np.exp(
-                -2.0 * (np.sqrt(e) - 10.0) ** 2 * 0.09
+        def g(u):
+            return 2.0 * u * np.sqrt(np.abs(u * u - 50.0)) * np.exp(
+                -2.0 * (u - 10.0) ** 2 * 0.09
             )
 
-        res = integrate_spectral(f, packet, 0.0, 0.0, branch_points=[50.0])
+        res = _integrate(g, packet, 0.0, 0.0, branch_points=[50.0])
         assert res.converged
 
     def test_deterministic_repeat(self):
         packet = PacketSpec(100.0, 0.1, -10.0)
 
-        def f(e):
-            u = np.sqrt(e)
-            return np.exp(-((u - 10.0) ** 2) * 0.01) * np.exp(1j * 3.0 * u)
+        def g(u):
+            return 2.0 * u * np.exp(-((u - 10.0) ** 2) * 0.01) * np.exp(1j * 3.0 * u)
 
-        r1 = integrate_spectral(f, packet, 0.5, 3.0)
-        r2 = integrate_spectral(f, packet, 0.5, 3.0)
+        r1 = _integrate(g, packet, 0.5, 3.0)
+        r2 = _integrate(g, packet, 0.5, 3.0)
         # byte-identical, not merely close
         assert r1.value == r2.value
         assert r1.error_estimate == r2.error_estimate

@@ -355,6 +355,7 @@ def cmd_oracle_compare(cfg, scenario_name="custom"):
         },
         "distances": distances,
         "norm_drift": oracle_field.norm_drift,
+        "time_steps": oracle_field.time_steps,
         "passed": passed,
         "threshold": threshold,
         "config_sha256": config_hash(cfg),

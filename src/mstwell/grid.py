@@ -1,18 +1,21 @@
 """Finite-difference time-domain reference solver for cross-validation.
 
 Independent of every analytic ingredient in this package: the packet is
-evolved by Crank-Nicolson (Cayley) time stepping of the discretized
-Hamiltonian on a hard-walled, over-sized domain.  The Cayley form is
-exactly unitary for a Hermitian discrete Hamiltonian, so norm drift is a
-sharp diagnostic of the linear algebra, not of the physics.  Each step is
-one solve with the LAPACK banded LU of the pentadiagonal Cayley matrix.
+evolved on a hard-walled, over-sized domain by the (2,2) diagonal Pade
+approximant of exp(-i dt H) for the discretized Hamiltonian H, factored
+over its two complex-conjugate poles into two Cayley-like stages
+(Puzynin, Selin & Vinitsky, Comput. Phys. Commun. 123 (1999) 1).  Each
+stage, and so each step, is exactly unitary for a Hermitian discrete
+Hamiltonian, so norm drift is a sharp diagnostic of the linear algebra,
+not of the physics.  Each stage is one solve with the LAPACK banded LU of
+a pentadiagonal matrix.
 
 The Laplacian uses the 5-point fourth-order stencil.  With the second
 order stencil the dispersion error at the packet's upper spectral flank
 would force grid sizes far beyond the domain invariants' intent; the
 fourth-order stencil reaches the comparison tolerances at the mandated
-spacing.  Time stepping stays trapezoidal, so convergence under joint
-refinement is dt^2 dominated.
+spacing.  The time step is fourth order as well, so under joint
+refinement of dx and dt the error falls as the fourth power of both.
 
 Internal units as everywhere: hbar = 1, m = 1/2, i dpsi/dt = -psi'' + V psi.
 """
@@ -35,9 +38,14 @@ class GridConfigError(ValueError):
 
 def _scenario_bounds(packet: PacketSpec, window_w: float, t_max: float):
     """(e_max, step_rate, margin): the spectral window's top energy, the cap
-    dt <= dx / step_rate, and the reach the domain needs beyond x_i and 1."""
+    dt <= dx / step_rate, and the reach the domain needs beyond x_i and 1.
+
+    The cap dt <= 4 dx / sqrt(e_max) together with the spacing cap
+    dx <= pi / (8 sqrt(e_max)) holds the phase e_max dt of one fourth-order
+    step to at most pi/2 at the top of the spectral window.
+    """
     e_max = (packet.u_perp + window_w / packet.sigma_tilde) ** 2
-    step_rate = 4.0 * math.sqrt(e_max)
+    step_rate = math.sqrt(e_max) / 4.0
     margin = 10.0 * packet.sigma_tilde + 2.0 * math.sqrt(e_max) * t_max
     return e_max, step_rate, margin
 
@@ -55,7 +63,14 @@ class GridSpec:
             raise GridConfigError("dx, dt must be positive and x_max > x_min")
 
     def validate(self, packet: PacketSpec, t_max: float):
-        """Resolution and coverage invariants for a given scenario."""
+        """Resolution and coverage invariants for a given scenario.
+
+        dx resolves the window's top energy e_max with 16 points per
+        wavelength, and dt <= 4 dx / sqrt(e_max) keeps the phase of one
+        (2,2) Pade step at that energy within pi/2.  At that cap the
+        fourth-order time error is of the size of the spacing error, not
+        above it.
+        """
         e_max, step_rate, margin = _scenario_bounds(packet, self.window_w, t_max)
         dx_cap = (2.0 * math.pi / math.sqrt(e_max)) / 16.0
         if self.dx > dx_cap * (1.0 + 1e-12):
@@ -64,7 +79,9 @@ class GridSpec:
             )
         dt_cap = self.dx / step_rate
         if self.dt > dt_cap * (1.0 + 1e-12):
-            raise GridConfigError(f"dt={self.dt} exceeds the cap {dt_cap}")
+            raise GridConfigError(
+                f"dt={self.dt} exceeds the cap 4 dx / sqrt(e_max) = {dt_cap}"
+            )
         lo_need = packet.x_i_tilde - margin
         hi_need = 1.0 + margin
         if self.x_min > lo_need or self.x_max < hi_need:
@@ -119,6 +136,7 @@ class GridField:
     t_grid: np.ndarray
     psi: np.ndarray  # shape (nt, nx)
     norm_history: np.ndarray
+    time_steps: int  # steps taken over all gaps between samples
     grid: GridSpec = field(repr=False, default=None)
 
     @property
@@ -160,36 +178,48 @@ def _potential_on_grid(potential: PotentialSpec, x: np.ndarray) -> np.ndarray:
     return v
 
 
-class _CayleyStepper:
-    """Factored solver advancing (1 + i dt/2 H) psi_new = (1 - i dt/2 H) psi.
+# poles of the (2,2) Pade approximant: 1 + z/2 + z^2/12 = (1 - z/Z1)(1 - z/Z2)
+_Z1 = complex(-3.0, math.sqrt(3.0))
+_Z2 = _Z1.conjugate()
 
-    Uses psi_new = 2 (1 + i dt/2 H)^-1 psi - psi, so each step is a single
-    pentadiagonal solve with the LAPACK banded LU factors.
+
+class _CayleyStepper:
+    """Factored (2,2) Pade step psi <- R(z) psi with z = i dt H,
+
+        R(z) = (1 - z/2 + z^2/12) / (1 + z/2 + z^2/12)
+             = [(1 + z/Z2) (1 - z/Z1)^-1] [(1 + z/Z1) (1 - z/Z2)^-1].
+
+    Each bracket is a Cayley transform with a complex shift, unitary on its
+    own for Hermitian H, and is applied as
+    psi <- -(Za/Zb) psi + (1 + Za/Zb) (1 - z/Za)^-1 psi: one pentadiagonal
+    solve with the LAPACK banded LU factors of 1 - z/Za, built once here.
     """
 
     def __init__(self, v_grid, dx, dt):
         n = v_grid.size
         inv = 1.0 / (dx * dx)
-        o1 = -4.0 / 3.0 * inv
-        o2 = 1.0 / 12.0 * inv
-        z = 0.5j * dt
         kl = ku = 2
-        ab = np.zeros((2 * kl + ku + 1, n), dtype=complex)
-        ab[kl + ku, :] = 1.0 + z * (2.5 * inv + v_grid.astype(complex))
-        ab[kl + ku - 1, 1:] = z * o1
-        ab[kl + ku - 2, 2:] = z * o2
-        ab[kl + ku + 1, :-1] = z * o1
-        ab[kl + ku + 2, :-2] = z * o2
-        gbtrf, self._gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
-        self._lu, self._piv, info = gbtrf(ab, kl, ku)
-        if info != 0:
-            raise RuntimeError(f"banded LU factorization failed (info={info})")
+        gbtrf, self._gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), dtype=complex)
+        self._stages = []
+        for za, zb in ((_Z1, _Z2), (_Z2, _Z1)):
+            c = -1j * dt / za  # 1 - z/Za = 1 + c H
+            ab = np.zeros((2 * kl + ku + 1, n), dtype=complex)
+            ab[kl + ku, :] = 1.0 + c * (2.5 * inv + v_grid)
+            ab[kl + ku - 1, 1:] = ab[kl + ku + 1, :-1] = c * (-4.0 / 3.0 * inv)
+            ab[kl + ku - 2, 2:] = ab[kl + ku + 2, :-2] = c * (1.0 / 12.0 * inv)
+            lu, piv, info = gbtrf(ab, kl, ku)
+            if info != 0:
+                raise RuntimeError(f"banded LU factorization failed (info={info})")
+            ratio = za / zb
+            self._stages.append((lu, piv, -ratio, 1.0 + ratio))
 
     def step(self, psi):
-        out, info = self._gbtrs(self._lu, 2, 2, psi, self._piv)
-        if info != 0:
-            raise RuntimeError(f"banded solve failed (info={info})")
-        return 2.0 * out - psi
+        for lu, piv, keep, mix in self._stages:
+            out, info = self._gbtrs(lu, 2, 2, psi, piv)
+            if info != 0:
+                raise RuntimeError(f"banded solve failed (info={info})")
+            psi = keep * psi + mix * out
+        return psi
 
 
 def evolve_grid(
@@ -198,10 +228,10 @@ def evolve_grid(
     grid: GridSpec,
     t_samples,
 ) -> GridField:
-    """Crank-Nicolson evolution of the cutoff packet, sampled at t_samples.
+    """Fourth-order unitary evolution of the cutoff packet, sampled at t_samples.
 
     Sample times are hit exactly: each inter-sample gap is stepped with
-    dt' = gap / ceil(gap / dt) and its own factorization.
+    dt' = gap / ceil(gap / dt) and its own factorizations.
     """
     t_samples = np.asarray(t_samples, dtype=float)
     if t_samples.size == 0 or np.any(np.diff(t_samples) <= 0):
@@ -214,12 +244,18 @@ def evolve_grid(
     v = _potential_on_grid(potential, x)
 
     psi = initial_cutoff_packet(packet, x, grid.dx)
-    # hard walls: endpoints pinned to zero, interior evolved
+    # hard walls: endpoints pinned to zero, interior evolved.  The interior
+    # gets a floor far below every tolerance: without it the banded solves
+    # carry the packet's decaying tail into the exact zeros ahead of it
+    # through subnormal numbers, whose arithmetic made steps up to ~15x
+    # slower until the wave filled the domain.
     psi[0] = psi[-1] = 0.0
+    psi[1:-1] += 1e-150
 
     out = np.empty((t_samples.size, x.size), dtype=complex)
     norms = np.empty(t_samples.size)
     t_now = packet.t0_tilde
+    time_steps = 0
     for i, t_target in enumerate(t_samples):
         gap = float(t_target) - t_now
         n_steps = max(1, math.ceil(gap / grid.dt))
@@ -227,12 +263,13 @@ def evolve_grid(
         inner = psi[1:-1]
         for _ in range(n_steps):
             inner = stepper.step(inner)
+        time_steps += n_steps
         psi = np.concatenate([[0.0], inner, [0.0]])
         t_now = float(t_target)
         out[i] = psi
         norms[i] = math.sqrt(float(np.sum(np.abs(psi) ** 2)) * grid.dx)
 
-    return GridField(x, t_samples.copy(), out, norms, grid)
+    return GridField(x, t_samples.copy(), out, norms, time_steps, grid)
 
 
 def free_gaussian_closed(packet: PacketSpec, x, t) -> np.ndarray:

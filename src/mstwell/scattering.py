@@ -147,10 +147,13 @@ def amplitude_table(e_tilde, potential: PotentialSpec):
     sqrt_ku = np.sqrt(ku)
     sqrt_kd = np.sqrt(kd)
 
-    t = 4.0 * sqrt_k * sqrt_kd * ku * np.exp(1j * ku) / denom
-    t_prime = 2.0 * sqrt_k * sqrt_ku * (kd + ku) / denom
-    r_prime = 2.0 * sqrt_k * sqrt_ku * (ku - kd) * eik / denom
-    r = ((k - ku) * (kd + ku) - (k + ku) * (kd - ku) * eik) / denom
+    # denom = 0 only at E = U: t and r are replaced by their limits below,
+    # t' and r' stay non-finite as documented
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = 4.0 * sqrt_k * sqrt_kd * ku * np.exp(1j * ku) / denom
+        t_prime = 2.0 * sqrt_k * sqrt_ku * (kd + ku) / denom
+        r_prime = 2.0 * sqrt_k * sqrt_ku * (ku - kd) * eik / denom
+        r = ((k - ku) * (kd + ku) - (k + ku) * (kd - ku) * eik) / denom
     at_branch = ku == 0
     if np.any(at_branch):
         # denom -> 2 k_u d_lim as k_u -> 0; the 0/0 of t and r cancels

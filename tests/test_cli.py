@@ -233,13 +233,17 @@ class TestOracleCompare:
         assert code == 0
         report = json.loads(path.read_text(encoding="utf-8"))
         assert set(report) >= {
-            "scenario", "grid", "distances", "norm_drift", "passed", "threshold",
+            "scenario", "grid", "distances", "norm_drift", "time_steps", "passed",
+            "threshold",
         }
         assert report["passed"] is True
         for entry in report["distances"]:
             assert set(entry) == {"t", "l2", "linf"}
             assert entry["l2"] <= report["threshold"]
         assert report["norm_drift"] < 1e-8
+        # every gap between samples takes at least one step
+        assert isinstance(report["time_steps"], int)
+        assert report["time_steps"] >= len(report["distances"])
 
     def test_coarsened_grid_fails_with_distance(self, tmp_path):
         # shrinking the spectral window coarsens dx well past its cap for

@@ -102,42 +102,56 @@ class TestEvolveGrid:
         with pytest.raises(GridConfigError):
             evolve_grid(PACKET, FREE, g, [0.0, 0.1])
 
-    def test_second_order_time_convergence(self):
-        # in the dt-dominated regime halving dt shrinks the error by ~4
-        errors = []
-        for dtr in (1.0, 2.0):
-            g = grid_for_scenario(PACKET, FREE, 0.25, dx_refine=2.0, dt_refine=dtr)
-            f = evolve_grid(PACKET, FREE, g, [0.25])
-            exact = free_gaussian_closed(PACKET, f.x_grid, 0.25)
-            errors.append(
-                float(np.linalg.norm(f.psi[0] - exact) / np.linalg.norm(exact))
-            )
-        factor = errors[0] / errors[1]
-        assert 3.0 <= factor <= 5.0
 
-
-def _dense_cayley_step(v, dx, dt, psi):
+def _dense_hamiltonian(v, dx):
     n = v.size
     lap = (np.diag(np.full(n, -2.5)) + np.diag(np.full(n - 1, 4.0 / 3.0), 1)
            + np.diag(np.full(n - 1, 4.0 / 3.0), -1)
            + np.diag(np.full(n - 2, -1.0 / 12.0), 2)
            + np.diag(np.full(n - 2, -1.0 / 12.0), -2)) / dx**2
-    h = -lap + np.diag(v)
-    eye = np.eye(n)
-    return np.linalg.solve(eye + 0.5j * dt * h, (eye - 0.5j * dt * h) @ psi)
+    return -lap + np.diag(v)
+
+
+def _dense_pade_step(v, dx, dt, psi):
+    z = 1j * dt * _dense_hamiltonian(v, dx)
+    eye = np.eye(v.size)
+    z2 = z @ z / 12.0
+    return np.linalg.solve(eye + 0.5 * z + z2, (eye - 0.5 * z + z2) @ psi)
 
 
 class TestCayleyStepper:
-    # a diagonally dominant matrix, and one whose LU needs row interchanges
-    # (diagonal 1 against off-diagonals of modulus 6.7)
-    @pytest.mark.parametrize("dx, dt, v0", [(0.05, 1e-4, 10.0), (1.0, 10.0, -2.5)])
+    # a diagonally dominant matrix, one whose LU needs row interchanges
+    # (diagonal 1 against off-diagonals of modulus 6.7), and a step whose
+    # phase at the top eigenvalue is ~pi/2 (lambda_max ~ 2143 at dx = 0.05)
+    @pytest.mark.parametrize(
+        "dx, dt, v0", [(0.05, 1e-4, 10.0), (1.0, 10.0, -2.5), (0.05, 7.33e-4, 10.0)]
+    )
     def test_step_matches_dense_solve(self, dx, dt, v0):
         rng = np.random.default_rng(5)
         v = v0 + rng.uniform(-1e-3, 1e-3, 40)
         psi = rng.standard_normal(40) + 1j * rng.standard_normal(40)
         out = _CayleyStepper(v, dx, dt).step(psi)
-        ref = _dense_cayley_step(v, dx, dt, psi)
+        ref = _dense_pade_step(v, dx, dt, psi)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert abs(np.linalg.norm(out) / np.linalg.norm(psi) - 1.0) <= 1e-13
+
+    def test_fourth_order_time_convergence(self):
+        # against the exact discrete propagator exp(-iHt): halving dt
+        # shrinks the error by ~16
+        rng = np.random.default_rng(7)
+        dx, t = 0.05, 2e-3
+        v = rng.uniform(0.0, 40.0, 40)
+        psi = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        lam, vec = np.linalg.eigh(_dense_hamiltonian(v, dx))
+        exact = vec @ (np.exp(-1j * lam * t) * (vec.conj().T @ psi))
+        errors = []
+        for n_steps in (10, 20):
+            stepper = _CayleyStepper(v, dx, t / n_steps)
+            out = psi
+            for _ in range(n_steps):
+                out = stepper.step(out)
+            errors.append(float(np.linalg.norm(out - exact) / np.linalg.norm(exact)))
+        assert 12.0 <= errors[0] / errors[1] <= 20.0
 
 
 class TestCompare:

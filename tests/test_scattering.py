@@ -6,6 +6,7 @@ so they do not share code with the expressions under test.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -252,8 +253,7 @@ def test_inner_branch_point_takes_the_limit(e, d):
     # at E = U, k_u = 0 makes denom 0/0: t and r equal their limits from
     # either side, while t' and r' diverge as k_u^{-1/2} and stay non-finite
     pot = PotentialSpec(e, d)
-    with np.errstate(invalid="ignore"):
-        t, tp, rp, r, _ = mw.amplitude_table(e * (1.0 + np.array([-1e-10, 0.0, 1e-10])), pot)
+    t, tp, rp, r, _ = mw.amplitude_table(e * (1.0 + np.array([-1e-10, 0.0, 1e-10])), pot)
     for amp in (t, r):
         assert np.isfinite(amp[1])
         assert abs(amp[1] - amp[0]) < 1e-7
@@ -263,6 +263,17 @@ def test_inner_branch_point_takes_the_limit(e, d):
         assert abs(t[1]) ** 2 + abs(r[1]) ** 2 == pytest.approx(1.0, abs=1e-14)
     else:
         assert abs(r[1]) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_sweep_through_branch_point_is_silent():
+    # the integer sweep E = 1..100 hits E = U = 10; the 0/0 there is
+    # resolved (t, r) or documented (t', r'), never reported as a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t, tp, rp, r, _ = mw.amplitude_table(np.linspace(1.0, 100.0, 100),
+                                             PotentialSpec(10.0, 40.0))
+    assert np.all(np.isfinite(t)) and np.all(np.isfinite(r))
+    assert not np.isfinite(tp[9]) and not np.isfinite(rp[9])
 
 
 def test_vectorized_table_matches_scalar():

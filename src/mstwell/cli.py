@@ -319,6 +319,9 @@ def cmd_oracle_compare(cfg, scenario_name="custom"):
     if not times or any(b <= a for a, b in zip(times, times[1:])):
         raise ConfigError("oracle.times must be a non-empty increasing list")
     threshold = _get_float(cfg, "oracle.threshold")
+    max_points = _get_int(cfg, "oracle.max_compare_points")
+    if max_points < 1:
+        raise ConfigError(f"oracle.max_compare_points must be >= 1, got {max_points}")
     t_max = times[-1] - packet.t0_tilde
 
     grid = grid_for_scenario(
@@ -329,7 +332,7 @@ def cmd_oracle_compare(cfg, scenario_name="custom"):
     )
     oracle_field = evolve_grid(packet, potential, grid, times)
 
-    stride = max(1, oracle_field.x_grid.size // _get_int(cfg, "oracle.max_compare_points"))
+    stride = max(1, oracle_field.x_grid.size // max_points)
     x_sub = oracle_field.x_grid[::stride]
     sub = SimpleNamespace(
         x_grid=x_sub, t_grid=oracle_field.t_grid, psi=oracle_field.psi[:, ::stride]

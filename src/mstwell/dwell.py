@@ -22,7 +22,7 @@ import numpy as np
 
 from .model import PotentialSpec, branch_sqrt
 from .packet import PacketSpec, spectral_modulus
-from .quadrature import OSC_ALLOWANCE, QuadratureSpec, spectral_rule, spectral_window
+from .quadrature import QuadratureSpec, spectral_rule
 from .scattering import region_waves, wave_at
 
 
@@ -81,7 +81,6 @@ class DwellBreakdown:
     tau_bwd: float
     tau_interference: float
     tau_total: float
-    energy_density: dict
     converged: bool  # all three energy integrals met the quadrature target
 
 
@@ -102,17 +101,12 @@ def dwell_total(
     # component: (spectral window, x-driven phase rate, density per unit E
     # from the inner pieces t(E) and kernel(E))
     components = {
-        "fwd": ("forward", OSC_ALLOWANCE,
+        "fwd": ("forward", 0.0,
                 lambda u, t_of_e, _: t_of_e * spectral_modulus(u, packet, "forward") ** 2),
-        "bwd": ("backward", OSC_ALLOWANCE,
+        "bwd": ("backward", 0.0,
                 lambda u, t_of_e, _: t_of_e * spectral_modulus(u, packet, "backward") ** 2),
-        "interference": ("backward", 2.0 * abs(packet.x_i_tilde) + OSC_ALLOWANCE,
-                         interference),
+        "interference": ("backward", 2.0 * abs(packet.x_i_tilde), interference),
     }
-    _, u_hi = spectral_window(packet.u_perp, packet.sigma_tilde, "forward", quad.window_w)
-    u_tab = np.linspace(1e-3, u_hi, 512)
-    pieces_tab = _inner_pieces(u_tab, potential)
-    energy_density = {"e_tilde": u_tab * u_tab}
     tau = {}
     converged = True
     for name, (direction, x_span, dens) in components.items():
@@ -122,14 +116,12 @@ def dwell_total(
         )
         tau[name] = float(np.real(res.value))
         converged = converged and res.converged
-        energy_density[name] = dens(u_tab, *pieces_tab)
 
     return DwellBreakdown(
         tau_fwd=tau["fwd"],
         tau_bwd=tau["bwd"],
         tau_interference=tau["interference"],
         tau_total=tau["fwd"] + tau["bwd"] + tau["interference"],
-        energy_density=energy_density,
         converged=converged,
     )
 

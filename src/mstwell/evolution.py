@@ -21,7 +21,7 @@ import numpy as np
 
 from .model import PotentialSpec
 from .packet import PacketSpec, gaussian_weight
-from .quadrature import OSC_ALLOWANCE, QuadratureError, QuadratureSpec, spectral_rule
+from .quadrature import QuadratureError, QuadratureSpec, spectral_rule
 from .scattering import region_of, region_waves, wave_at
 
 _X_CHUNK = 512
@@ -103,7 +103,7 @@ def _x_phase_span(region, x_abs_max, packet):
         reach = 1.0
     else:
         reach = x_abs_max - 1.0
-    return reach + abs(packet.x_i_tilde) + OSC_ALLOWANCE
+    return reach + abs(packet.x_i_tilde)
 
 
 def _probe_spec(spec, packet):

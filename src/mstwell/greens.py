@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .model import PotentialSpec, branch_sqrt
-from .quadrature import OSC_ALLOWANCE, QuadratureError, QuadratureSpec, SpectralRule
+from .quadrature import QuadratureError, QuadratureSpec, SpectralRule
 from .scattering import region_of, region_waves, wave_at
 
 _JAC = 0.5 / math.pi  # the 1/pi of Re[...], split over a term and its conjugate
@@ -130,7 +130,7 @@ def _modulated_tail(amp, beta, u_c, u_far, tau, quad):
     the integral to u_far; beyond it amp and its conjugate are each closed
     by their integration-by-parts boundary terms.
     """
-    rule = SpectralRule(u_c, u_far, [], tau, abs(beta) + OSC_ALLOWANCE, quad)
+    rule = SpectralRule(u_c, u_far, [], tau, abs(beta), quad)
     res = rule.refine_against(_paired(amp, tau))
     u5 = u_far + 1e-3 * np.arange(-2.0, 3.0)
     h5 = amp(u5) * np.exp(-1j * beta * u5)
@@ -198,7 +198,7 @@ def propagate_kernel(
     )
     u_far = max(2.0 * u_c, u_c + 100.0, 300.0)
 
-    rule = SpectralRule(0.0, u_c, u_branch, tau, abs(beta) + OSC_ALLOWANCE, quad)
+    rule = SpectralRule(0.0, u_c, u_branch, tau, abs(beta), quad)
     head_res = rule.refine_against(_paired(amp, tau))
     tail, tail_err, tail_ok = _modulated_tail(tail_amp, beta, u_c, u_far, tau, quad)
     value = head_res.value

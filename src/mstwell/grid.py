@@ -61,6 +61,8 @@ class GridSpec:
     def __post_init__(self):
         if self.dx <= 0 or self.dt <= 0 or self.x_max <= self.x_min:
             raise GridConfigError("dx, dt must be positive and x_max > x_min")
+        if not self.window_w > 0:
+            raise GridConfigError(f"window_w must be positive, got {self.window_w}")
 
     def validate(self, packet: PacketSpec, t_max: float):
         """Resolution and coverage invariants for a given scenario.
@@ -109,6 +111,8 @@ def grid_for_scenario(
     The spacing cap also accounts for the extra wave number picked up over
     a well (U or Delta below zero), which the generic invariant ignores.
     """
+    if not (dx_refine > 0 and dt_refine > 0 and window_w > 0):
+        raise GridConfigError("dx_refine, dt_refine and window_w must be positive")
     e_max, step_rate, margin = _scenario_bounds(packet, window_w, t_max)
     depth = max(0.0, -min(potential.u_tilde, potential.delta_tilde, 0.0))
     dx_cap = (2.0 * math.pi / math.sqrt(e_max + depth)) / 16.0 / dx_refine

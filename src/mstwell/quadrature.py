@@ -10,9 +10,11 @@ u in [max(0, u_perp - W/sigma), u_perp + W/sigma] and the backward weight
 to u in [0, u_perp + W/sigma] (tail mass e^{-W^2} < 1e-27 at the default
 W = 8).
 
-Panels are seeded so the phase change per panel is bounded,
-|d(u^2)|*t + |du|*x_span <= phase_per_panel, split exactly at channel
-branch points, and then refined adaptively with the embedded 7/15
+Panels are seeded at equal phase: each segment between channel branch
+points (always panel edges) gets the fewest panels of equal rise of the
+phase bound phi(u) = t*u^2 + x_span*u within phase_per_panel, where
+``SpectralRule`` adds the amplitudes' internal oscillation (``OSC_ALLOWANCE``)
+to x_span.  They are then refined adaptively with the embedded 7/15
 Gauss-Kronrod pair.  ``adaptive_panels`` totals panels with a compensated
 sum (``math.fsum``) in ascending-edge order, ``integrate_values`` with
 ``np.add.reduce`` in the rule's panel order (also ascending), so results
@@ -63,8 +65,8 @@ WG = np.zeros(15)
 WG[1:14:2] = np.concatenate([_WG_HALF, [0.4179591836734694], _WG_HALF[::-1]])
 WERR = WGK - WG
 
-# Allowance added to the x-driven phase rate of an integrand for the internal
-# oscillation of the amplitudes (the e^{2i k_u} round trip across the profile).
+# Added by ``SpectralRule`` to every integrand's x-driven phase rate for the
+# amplitudes' internal oscillation (the e^{2i k_u} round trip across the profile).
 OSC_ALLOWANCE = 2.5
 
 
@@ -115,44 +117,34 @@ def spectral_window(u_perp, sigma_tilde, direction, window_w):
 
 
 def phase_capped_edges(lo, hi, u_breaks, t_scale, x_span, phase_cap, max_panels):
-    """Initial panel edges: break points honored, phase change per panel capped."""
+    """Initial panel edges on 0 <= lo <= hi at equal phase between break points.
+
+    Each segment [a, b] gets n = max(1, ceil((phi(b) - phi(a)) / phase_cap))
+    panels of equal rise of phi(u) = |t_scale| u^2 + |x_span| u, increasing on
+    u >= 0; counts over ``max_panels`` in total are scaled down to the budget.
+    """
     if hi <= lo:
         return np.array([lo, hi])
-    cuts = [lo, hi]
-    for ub in u_breaks:
-        if lo < ub < hi:
-            cuts.append(float(ub))
-    cuts = sorted(set(cuts))
+    cuts = sorted({lo, hi, *(float(ub) for ub in u_breaks if lo < ub < hi)})
+    t, s = abs(t_scale), abs(x_span)
 
-    counts = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        phase = abs(b * b - a * a) * abs(t_scale) + (b - a) * abs(x_span)
-        counts.append(max(1, math.ceil(phase / phase_cap)))
+    segments = [(a, b, (b * b - a * a) * t + (b - a) * s) for a, b in zip(cuts[:-1], cuts[1:])]
+    counts = [max(1, math.ceil(phase / phase_cap)) for _, _, phase in segments]
     total = sum(counts)
     if total > max_panels:
         # respect the budget; the adaptive stage will report non-convergence
         scale = max_panels / total
         counts = [max(1, int(c * scale)) for c in counts]
 
-    edges = [cuts[0]]
-    for (a, b), n in zip(zip(cuts[:-1], cuts[1:]), counts):
-        step = (b - a) / n
-        edges.extend(a + step * i for i in range(1, n))
-        edges.append(b)
-    edges = np.array(edges)
-
-    # uniform splitting caps only the average phase; the quadratic u^2 term
-    # concentrates phase in the upper subpanels, so bisect until every panel
-    # honors the cap (or the budget runs out)
-    for _ in range(64):
-        a, b = edges[:-1], edges[1:]
-        phase = np.abs(b * b - a * a) * abs(t_scale) + (b - a) * abs(x_span)
-        over = phase > phase_cap
-        if not np.any(over) or a.size + np.count_nonzero(over) > max_panels:
-            break
-        mids = 0.5 * (a[over] + b[over])
-        edges = np.sort(np.concatenate([edges, mids]))
-    return edges
+    edges = [cuts[:1]]
+    for (a, b, phase), n in zip(segments, counts):
+        # root of t d^2 + slope d = rise, exact as t -> 0; measuring d from a
+        # keeps the round-off at the spacing of the doubles near the edges
+        rise = (phase / n) * np.arange(1, n)
+        slope = 2.0 * t * a + s
+        edges.append(a + 2.0 * rise / (slope + np.sqrt(slope * slope + 4.0 * t * rise)))
+        edges.append([b])
+    return np.concatenate(edges)
 
 
 def _kronrod_nodes(a, b):
@@ -229,7 +221,8 @@ def spectral_rule(packet, direction, branch_points, t_scale, x_span, spec) -> Sp
     """Rule over the spectral window of ``packet``, split at the branch energies.
 
     ``t_scale`` and ``x_span`` bound the phase rates in u^2 and u of the
-    integrands g(u) (E-integrand times 2u, with the weight of ``direction``).
+    integrands g(u) (E-integrand times 2u, with the weight of ``direction``),
+    not counting the amplitudes' own oscillation, which the rule adds.
     """
     lo, hi = spectral_window(packet.u_perp, packet.sigma_tilde, direction, spec.window_w)
     u_breaks = [math.sqrt(bp) for bp in branch_points if bp > 0]
@@ -248,7 +241,8 @@ class SpectralRule:
     def __init__(self, lo, hi, u_breaks, t_scale, x_span, spec: QuadratureSpec):
         self.spec = spec
         self.edges = phase_capped_edges(
-            lo, hi, u_breaks, t_scale, x_span, spec.phase_per_panel, spec.max_panels
+            lo, hi, u_breaks, t_scale, x_span + OSC_ALLOWANCE,
+            spec.phase_per_panel, spec.max_panels,
         )
         self._build()
 

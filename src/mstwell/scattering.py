@@ -132,35 +132,40 @@ def amplitude_table(e_tilde, potential: PotentialSpec):
 
     Returns (t, t_prime, r_prime, r, denom) as complex arrays.  The branch
     rule makes the same expressions valid above and below both thresholds.
-    At the inner branch point E = U (k_u = 0) denom vanishes; t and r take
-    their finite limits there, while t_prime and r_prime diverge as
-    k_u^{-1/2} and stay non-finite.
+    denom = 2 k_u d vanishes at the inner branch point E = U (k_u = 0), where
+    t and r stay finite while t_prime and r_prime diverge as k_u^{-1/2} and
+    stay non-finite (except on the flat profile at E = 0).
     """
     e = np.asarray(e_tilde, dtype=np.float64)
     k = branch_sqrt(e)
     ku = branch_sqrt(e - potential.u_tilde)
     kd = branch_sqrt(e - potential.delta_tilde)
-    eik = np.exp(2j * ku)
-
-    denom = (k + ku) * (kd + ku) - (k - ku) * (kd - ku) * eik
+    e1 = np.exp(1j * ku)
+    # denom = (k + k_u)(k_d + k_u) - (k - k_u)(k_d - k_u) e^{2i k_u} = 2 k_u d with
+    # half_m = (e^{2i k_u} - 1)/(2 k_u) = i e^{ia} sin(a)/a or i (1 - e^{-2b})/(2b) for
+    # k_u = a or i b: ratios to d need no limit at k_u = 0 and do not cancel near it
+    a, b = ku.real, ku.imag
+    sinc_a = np.divide(np.sin(a), a, out=np.ones_like(a), where=a != 0)
+    decay_b = np.divide(np.expm1(-2.0 * b), -2.0 * b, out=np.ones_like(b), where=b != 0)
+    half_m = 1j * np.where(b > 0, decay_b, e1 * sinc_a)
+    d = (k + kd) - half_m * (k - ku) * (kd - ku)
     sqrt_k = np.sqrt(k)
     sqrt_ku = np.sqrt(ku)
     sqrt_kd = np.sqrt(kd)
 
-    # denom = 0 only at E = U: t and r are replaced by their limits below,
-    # t' and r' stay non-finite as documented
-    with np.errstate(invalid="ignore", divide="ignore"):
-        t = 4.0 * sqrt_k * sqrt_kd * ku * np.exp(1j * ku) / denom
-        t_prime = 2.0 * sqrt_k * sqrt_ku * (kd + ku) / denom
-        r_prime = 2.0 * sqrt_k * sqrt_ku * (ku - kd) * eik / denom
-        r = ((k - ku) * (kd + ku) - (k + ku) * (kd - ku) * eik) / denom
-    at_branch = ku == 0
-    if np.any(at_branch):
-        # denom -> 2 k_u d_lim as k_u -> 0; the 0/0 of t and r cancels
-        d_lim = k + kd - 1j * k * kd
-        t = np.where(at_branch, 2.0 * sqrt_k * sqrt_kd / d_lim, t)
-        r = np.where(at_branch, (k - kd - 1j * k * kd) / d_lim, r)
-    return t, t_prime, r_prime, r, denom
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        t = 2.0 * sqrt_k * sqrt_kd * e1 / d
+        t_prime = sqrt_k / sqrt_ku * ((kd + ku) / d)
+        r_prime = sqrt_k / sqrt_ku * ((ku - kd) * e1 * e1 / d)
+        r = ((k - kd) - half_m * (k + ku) * (kd - ku)) / d
+    at_rest = (k == 0) & (kd == 0)
+    if np.any(at_rest):
+        # E = Delta = 0, where d = -half_m k_u^2 is 0 (U = 0) or may underflow:
+        # the flat profile transmits all (t = t' = 1), any other reflects all
+        flat = 1.0 * (ku == 0)
+        t, t_prime = np.where(at_rest, flat, t), np.where(at_rest, flat, t_prime)
+        r, r_prime = np.where(at_rest, flat - 1.0, r), np.where(at_rest, 0.0, r_prime)
+    return t, t_prime, r_prime, r, 2.0 * ku * d
 
 
 def region_of(x) -> str:

@@ -272,3 +272,20 @@ class TestOracleCompare:
 
     def test_bad_times_rejected(self):
         assert main(["oracle-compare", "--set", "oracle.times=0.5,0.2"]) == 1
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "oracle.dx_refine=0",
+            "oracle.dt_refine=0",
+            "oracle.window_w=0",
+            "oracle.window_w=-2",
+            "oracle.max_compare_points=0",
+        ],
+    )
+    def test_bad_oracle_value_rejected_before_solve(self, setting, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the grid solve started")
+
+        monkeypatch.setattr("mstwell.cli.evolve_grid", no_solve)
+        assert main(["oracle-compare"] + CHEAP + ["--set", setting]) == 1

@@ -192,15 +192,6 @@ class TestPacketTotal:
         res = dwell_total(packet, pot)
         assert res.tau_total == pytest.approx(dwell_asymptotic(100.0, pot), rel=1e-2)
 
-    def test_energy_density_payload(self):
-        packet = PacketSpec(100.0, 0.1, -10.0)
-        res = dwell_total(packet, PotentialSpec(10.0, 40.0))
-        dens = res.energy_density
-        assert set(dens) == {"e_tilde", "fwd", "bwd", "interference"}
-        assert dens["e_tilde"].shape == dens["fwd"].shape
-        assert np.all(dens["fwd"] >= 0)
-        assert np.all(dens["bwd"] >= 0)
-
     def test_broadband_backward_contributes(self):
         packet = PacketSpec(100.0, 0.1, -10.0)
         res = dwell_total(packet, PotentialSpec(10.0, 0.0))

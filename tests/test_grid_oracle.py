@@ -58,6 +58,9 @@ class TestGridSpec:
             GridSpec(0.0, 1.0, -0.1, 0.1)
         with pytest.raises(GridConfigError):
             GridSpec(1.0, 0.0, 0.1, 0.1)
+        for window_w in (0.0, -2.0):
+            with pytest.raises(GridConfigError):
+                GridSpec(0.0, 1.0, 0.1, 0.1, window_w)
 
     def test_x_grid_endpoints(self):
         g = GridSpec(-1.0, 2.0, 0.5, 0.01)

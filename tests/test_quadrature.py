@@ -82,6 +82,21 @@ class TestWindow:
             spectral_window(10.0, 0.1, "sideways", 8.0)
 
 
+def _assert_equal_phase(edges, cuts, t_scale, x_span):
+    """Each segment between ``cuts`` holds the fewest panels within the cap,
+    all of the same phase."""
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        seg = edges[(edges >= a) & (edges <= b)]
+        lo, hi = seg[:-1], seg[1:]
+        phase = np.abs(hi**2 - lo**2) * t_scale + (hi - lo) * x_span
+        total = abs(b * b - a * a) * t_scale + (b - a) * x_span
+        n = max(1, math.ceil(total / math.pi))
+        assert lo.size == n
+        # relative to the segment's phase: a panel's own phase is known only
+        # to the spacing of the doubles at its edges (~1e-11 of it at u ~ 150)
+        np.testing.assert_allclose(phase, total / n, rtol=0, atol=1e-12 * total)
+
+
 class TestEdges:
     @given(
         lo=st.floats(0.0, 50.0),
@@ -99,6 +114,23 @@ class TestEdges:
         a, b = edges[:-1], edges[1:]
         phase = np.abs(b**2 - a**2) * t_scale + (b - a) * x_span
         assert np.all(phase <= math.pi * (1 + 1e-9))
+
+    @given(
+        lo=st.floats(0.0, 50.0),
+        width=st.floats(0.1, 100.0),
+        t_scale=st.floats(0.0, 5.0),
+        x_span=st.floats(0.0, 30.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equal_phase_seeding(self, lo, width, t_scale, x_span):
+        br = lo + 0.3 * width
+        edges = phase_capped_edges(lo, lo + width, [br], t_scale, x_span, math.pi, 100_000)
+        _assert_equal_phase(edges, [lo, br, lo + width], t_scale, x_span)
+
+    @pytest.mark.parametrize("t_scale,x_span", [(2.0, 0.0), (0.0, 7.0)])
+    def test_equal_phase_single_term(self, t_scale, x_span):
+        edges = phase_capped_edges(0.0, 10.0, [3.0], t_scale, x_span, math.pi, 100_000)
+        _assert_equal_phase(edges, [0.0, 3.0, 10.0], t_scale, x_span)
 
     def test_breaks_are_edges(self):
         edges = phase_capped_edges(0.0, 10.0, [3.0, 7.0], 1.0, 0.0, math.pi, 10_000)

@@ -276,6 +276,28 @@ def test_sweep_through_branch_point_is_silent():
     assert not np.isfinite(tp[9]) and not np.isfinite(rp[9])
 
 
+@given(
+    u=st.floats(-1e4, 1e4),
+    d=st.floats(0.0, 1e4),
+    e_closed=st.floats(-1e4, 0.0),
+    e_open=st.floats(0.0, 2e4),
+)
+@settings(max_examples=300, deadline=None)
+def test_table_is_finite_and_unitary(u, d, e_closed, e_open):
+    # both branch energies, E = 0, one E <= 0 and one E >= 0, silently
+    e = np.array([u, d, 0.0, e_closed, e_open])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t, tp, rp, r, _ = mw.amplitude_table(e, PotentialSpec(u, d))
+    assert np.all(np.isfinite(t)) and np.all(np.isfinite(r))
+    off_branch = e != u
+    assert np.all(np.isfinite(tp[off_branch])) and np.all(np.isfinite(rp[off_branch]))
+    open_ = off_branch & (e > d)
+    np.testing.assert_allclose(
+        np.abs(t[open_]) ** 2 + np.abs(r[open_]) ** 2, 1.0, rtol=0, atol=1e-10
+    )
+
+
 def test_vectorized_table_matches_scalar():
     pot = PotentialSpec(10.0, 50.0)
     e = np.array([3.0, 30.0, 100.0, 400.0])

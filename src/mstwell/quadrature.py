@@ -15,10 +15,11 @@ points (always panel edges) gets the fewest panels of equal rise of the
 phase bound phi(u) = t*u^2 + x_span*u within phase_per_panel, where
 ``SpectralRule`` adds the amplitudes' internal oscillation (``OSC_ALLOWANCE``)
 to x_span.  They are then refined adaptively with the embedded 7/15
-Gauss-Kronrod pair.  ``adaptive_panels`` totals panels with a compensated
-sum (``math.fsum``) in ascending-edge order, ``integrate_values`` with
-``np.add.reduce`` in the rule's panel order (also ascending), so results
-are bit-identical for identical inputs.
+Gauss-Kronrod pair, which splits panels in place so they stay in
+ascending order from lo to hi.  ``adaptive_panels`` totals panels with a
+correctly rounded sum (``math.fsum``), ``integrate_values`` with
+``np.add.reduce`` in that ascending order, so results are bit-identical
+for identical inputs.
 
 ``SpectralRule`` is the one engine: every integral of the package (the
 packet components, the dwell integrals and the space-time kernel) seeds a
@@ -165,56 +166,48 @@ def _panel_eval(g, a, b):
     return _kronrod_sums(fv, half)
 
 
-def _fixed_order_sum(a, vals):
-    """Compensated total over panels sorted by left edge (deterministic)."""
-    order = np.argsort(a, kind="stable")
-    v = vals[order]
-    return complex(math.fsum(v.real), math.fsum(v.imag))
+def _compensated_sum(vals):
+    """Correctly rounded total over panels (``math.fsum``, order-free)."""
+    return complex(math.fsum(vals.real), math.fsum(vals.imag))
 
 
 def adaptive_panels(g, edges, spec: QuadratureSpec):
     """Adaptive refinement of an initial panel set for integrand ``g(u)``.
 
     Returns (QuadResult, final_edges).  Refinement halves every panel whose
-    error exceeds its share of the tolerance; iteration stops on convergence
-    or when the panel budget is exhausted (non-converged result, no raise).
+    error exceeds its share of the tolerance, keeping the panels in
+    ascending order; iteration stops on convergence or when the panel
+    budget is exhausted (non-converged result, no raise).
     """
-    a = np.asarray(edges[:-1], dtype=float)
-    b = np.asarray(edges[1:], dtype=float)
-    if a.size == 0 or np.all(b <= a):
-        return QuadResult(0.0 + 0.0j, 0.0, 0, True), np.asarray(edges, dtype=float)
-    vals, errs = _panel_eval(g, a, b)
+    edges = np.asarray(edges, dtype=float)
+    if edges.size < 2 or np.all(edges[1:] <= edges[:-1]):
+        return QuadResult(0.0 + 0.0j, 0.0, 0, True), edges
+    vals, errs = _panel_eval(g, edges[:-1], edges[1:])
 
+    converged = False
     for _ in range(60):
-        total = _fixed_order_sum(a, vals)
+        total = _compensated_sum(vals)
         err_total = float(np.sum(errs))
         tol = max(spec.rel_tol * abs(total), spec.abs_tol)
-        if err_total <= tol:
-            return QuadResult(total, err_total, a.size, True), np.sort(
-                np.concatenate([a, b[-1:]])
-            )
-        if a.size >= spec.max_panels:
+        converged = err_total <= tol
+        if converged or vals.size >= spec.max_panels:
             break
-        threshold = 0.5 * tol / a.size
-        split = errs > threshold
-        if not np.any(split):
+        split = np.flatnonzero(errs > 0.5 * tol / vals.size)
+        if split.size == 0:
             break
-        keep_a, keep_b = a[~split], b[~split]
-        keep_vals, keep_errs = vals[~split], errs[~split]
-        mid = 0.5 * (a[split] + b[split])
-        new_a = np.concatenate([a[split], mid])
-        new_b = np.concatenate([mid, b[split]])
-        new_vals, new_errs = _panel_eval(g, new_a, new_b)
-        a = np.concatenate([keep_a, new_a])
-        b = np.concatenate([keep_b, new_b])
-        vals = np.concatenate([keep_vals, new_vals])
-        errs = np.concatenate([keep_errs, new_errs])
+        # panel i becomes [lo_i, mid_i] in place and [mid_i, hi_i] right after it
+        lo, hi = edges[split], edges[split + 1]
+        mid = 0.5 * (lo + hi)
+        new_vals, new_errs = _panel_eval(g, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        vals[split], errs[split] = new_vals[:split.size], new_errs[:split.size]
+        vals = np.insert(vals, split + 1, new_vals[split.size:])
+        errs = np.insert(errs, split + 1, new_errs[split.size:])
+        edges = np.insert(edges, split + 1, mid)
+    else:
+        total = _compensated_sum(vals)
+        err_total = float(np.sum(errs))
 
-    total = _fixed_order_sum(a, vals)
-    err_total = float(np.sum(errs))
-    return QuadResult(total, err_total, a.size, False), np.sort(
-        np.concatenate([a, b[-1:]])
-    )
+    return QuadResult(total, err_total, vals.size, converged), edges
 
 
 def spectral_rule(packet, direction, branch_points, t_scale, x_span, spec) -> SpectralRule:

@@ -130,11 +130,12 @@ def closed_amplitudes(e_tilde, potential: PotentialSpec) -> ScatteringSet:
 def amplitude_table(e_tilde, potential: PotentialSpec):
     """Vectorized closed-form amplitudes over an array of energies.
 
-    Returns (t, t_prime, r_prime, r, denom) as complex arrays.  The branch
-    rule makes the same expressions valid above and below both thresholds.
-    denom = 2 k_u d vanishes at the inner branch point E = U (k_u = 0), where
-    t and r stay finite while t_prime and r_prime diverge as k_u^{-1/2} and
-    stay non-finite (except on the flat profile at E = 0).
+    Returns (t, t_prime, r_prime, r, d) as complex arrays, with d the
+    common denominator over 2 k_u.  The branch rule makes the same
+    expressions valid above and below both thresholds.  d stays finite at
+    the inner branch point E = U (k_u = 0), and so do t and r, while t_prime
+    and r_prime diverge as k_u^{-1/2} and stay non-finite (except on the
+    flat profile at E = 0).
     """
     e = np.asarray(e_tilde, dtype=np.float64)
     k = branch_sqrt(e)
@@ -165,7 +166,7 @@ def amplitude_table(e_tilde, potential: PotentialSpec):
         flat = 1.0 * (ku == 0)
         t, t_prime = np.where(at_rest, flat, t), np.where(at_rest, flat, t_prime)
         r, r_prime = np.where(at_rest, flat - 1.0, r), np.where(at_rest, 0.0, r_prime)
-    return t, t_prime, r_prime, r, 2.0 * ku * d
+    return t, t_prime, r_prime, r, d
 
 
 def region_of(x) -> str:

@@ -6,6 +6,7 @@ comparison does not share any code with the module under test.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,30 @@ class TestEnergyDensity:
                     abs(k_b), 1e-12
                 )
 
+    def test_inner_branch_point_value(self):
+        # u = sqrt(10) squared lands 2e-15 above U, where the inner wave's
+        # forward and backward parts each grow as 1/k_u; the value is the
+        # brute-force x quadrature's to 1e-8
+        t = dwell_energy_density(10.0 + 2e-15, PotentialSpec(10.0, 40.0))["t_of_E"]
+        assert t == pytest.approx(0.23181492, abs=1e-8)
+        t_b, _ = inner_integrals_brute(10.0 + 2e-15, PotentialSpec(10.0, 40.0))
+        assert t == pytest.approx(t_b, rel=1e-8)
+
+    @pytest.mark.parametrize("pot", [PotentialSpec(100.0, 40.0), PotentialSpec(10.0, 100.0)])
+    def test_finite_at_branch_energies(self, pot):
+        # E = 100 = U (k_u = 0) or E = 100 = Delta (k_d = 0), hit exactly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = dwell_energy_density(100.0, pot)
+        assert np.isfinite(res["t_of_E"]) and res["t_of_E"] > 0
+        assert np.isfinite(res["interference_kernel"])
+
+    def test_continuous_across_inner_branch_point(self):
+        pot = PotentialSpec(10.0, 40.0)
+        at = dwell_energy_density(10.0, pot)["t_of_E"]
+        for e in (10.0 * (1.0 - 1e-10), 10.0 * (1.0 + 1e-10)):
+            assert dwell_energy_density(e, pot)["t_of_E"] == pytest.approx(at, rel=1e-9)
+
 
 class TestResonant:
     def test_relative_dwell_approaches_half(self):
@@ -109,6 +134,9 @@ class TestResonant:
     def test_requires_propagating_channel(self):
         with pytest.raises(ValueError):
             dwell_resonant(5.0, PotentialSpec(10.0, 0.0))
+        # k_u = pi is resonant, but the exit channel is closed at E < Delta
+        with pytest.raises(ValueError, match="exit channel"):
+            dwell_resonant(30.0, PotentialSpec(30.0 - math.pi**2, 40.0))
 
 
 class TestAsymptotic:
@@ -159,15 +187,34 @@ class TestAsymptotic:
         assert val == pytest.approx(400.0 / 10400.0, rel=1e-12)
 
     def test_turning_point_factor_regression(self):
-        # the master expression's E -> U limit exceeds the quoted form by
-        # exactly (1 + U/3); pin the measured ratio so the discrepancy
-        # between the two published variants stays visible
+        # the relative dwell's E -> U limit exceeds the quoted form by
+        # exactly (1 + (U - Delta)/3); pin the measured ratio so the
+        # discrepancy between the two published variants stays visible
         u0 = 100.0
-        pot = PotentialSpec(u0, 0.0)
-        ratio = relative_dwell_asymptotic(u0, pot) / relative_dwell_turning_point(
-            u0, pot
+        for delta in (0.0, 90.0):
+            pot = PotentialSpec(u0, delta)
+            ratio = relative_dwell_asymptotic(u0, pot) / relative_dwell_turning_point(
+                u0, pot
+            )
+            assert ratio == pytest.approx(1.0 + (u0 - delta) / 3.0, rel=1e-6)
+
+    def test_known_values(self):
+        # at the turning point with a drop, and below the exit threshold
+        assert relative_dwell_asymptotic(100.0, PotentialSpec(100.0, 90.0)) == pytest.approx(
+            1.4773833, abs=1e-7
         )
-        assert ratio == pytest.approx(1.0 + u0 / 3.0, rel=1e-6)
+        assert relative_dwell_asymptotic(30.0, PotentialSpec(10.0, 40.0)) == pytest.approx(
+            2.839050, abs=1e-6
+        )
+
+    def test_matches_brute_quadrature_in_every_regime(self):
+        # 2 sqrt(E) t(E) with t(E) from direct x quadrature of |psi|^2
+        for e, u, d in [(100.0, 10.0, 40.0), (30.0, 10.0, 40.0), (30.0, 80.0, 10.0),
+                        (20.0, 80.0, 40.0), (100.0, 99.0, 90.0), (50.0, -300.0, 60.0)]:
+            t_b, _ = inner_integrals_brute(e, PotentialSpec(u, d))
+            assert relative_dwell_asymptotic(e, PotentialSpec(u, d)) == pytest.approx(
+                2.0 * math.sqrt(e) * t_b, rel=1e-10
+            )
 
 
 class TestPacketTotal:
@@ -191,6 +238,13 @@ class TestPacketTotal:
         pot = PotentialSpec(10.0, 40.0)
         res = dwell_total(packet, pot)
         assert res.tau_total == pytest.approx(dwell_asymptotic(100.0, pot), rel=1e-2)
+
+    def test_narrowband_total_below_exit_threshold(self):
+        # E_perp = 30 < Delta = 40: the packet dwell still tends to t(E_perp)
+        pot = PotentialSpec(10.0, 40.0)
+        res = dwell_total(PacketSpec(30.0, 2.0, -10.0), pot)
+        assert res.converged
+        assert res.tau_total == pytest.approx(dwell_asymptotic(30.0, pot), rel=3e-2)
 
     def test_broadband_backward_contributes(self):
         packet = PacketSpec(100.0, 0.1, -10.0)

@@ -12,6 +12,7 @@ from mstwell.quadrature import (
     WGK,
     XGK,
     QuadratureError,
+    SpectralRule,
     adaptive_panels,
     phase_capped_edges,
 )
@@ -170,6 +171,20 @@ class TestAdaptive:
         res, _ = adaptive_panels(lambda u: u, np.array([1.0, 1.0]), QuadratureSpec())
         assert res.value == 0.0
         assert res.converged
+
+    def test_refined_edges_keep_the_window(self):
+        # a spike at u = 3 refines the low panels and leaves the top one
+        # whole: the edges still rise strictly from lo to hi, and the rule's
+        # nodes integrate the probe to the value the refinement reported
+        rule = SpectralRule(0.0, 10.0, [], 0.0, 0.0,
+                            QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14))
+        probe = lambda u: np.exp(-((50.0 * (u - 3.0)) ** 2)) + 0.01
+        res = rule.refine_against(probe)
+        assert res.converged and rule.n_panels > 2
+        assert rule.edges[0] == 0.0 and rule.edges[-1] == 10.0
+        assert np.all(np.diff(rule.edges) > 0)
+        value, _ = rule.integrate_values(probe(rule.u))
+        assert value == pytest.approx(res.value, rel=1e-12)
 
 
 def _integrate(g, packet, t_scale, x_span, branch_points=()):

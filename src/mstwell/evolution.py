@@ -3,11 +3,13 @@
 The wave function is assembled region by region from six spectral
 integrals: forward and backward components in each of the three regions.
 All six share the window machinery of the quadrature module; within one
-(region, time, direction) triple the integrand is the region wave
+(region, direction) pair the integrand is the region wave
 c_in(u) e^{i theta(u) xi} + c_out(u) e^{-i theta(u) xi}, xi = x - x_offset,
-with x-independent amplitude arrays, so the panel set is refined once
-against a worst-phase probe point and then reused for every x as a
-weighted sum that costs one complex exponential per (x, node).  That keeps
+times the time phase e^{-i tau u^2}, with x- and tau-independent amplitude
+arrays.  So one panel set, refined against a worst-phase probe point at the
+largest and the smallest time, serves every (x, t) sample, and the samples
+are reduced over nodes by one batched matrix product whose factors need
+exponentials only per (time or ~sqrt(n_x) table row, node).  That keeps
 dense space-time grids (needed for norm checks and the grid-solver
 comparison) tractable.
 """
@@ -24,7 +26,8 @@ from .packet import PacketSpec, gaussian_weight
 from .quadrature import QuadratureError, QuadratureSpec, spectral_rule
 from .scattering import region_of, region_waves, wave_at
 
-_X_CHUNK = 512
+# complex entries of one row chunk's product and left factor (~100 MB)
+_ENTRY_BUDGET = 6e6
 
 
 def packet_prefactor(packet: PacketSpec) -> complex:
@@ -120,52 +123,118 @@ def _probe_spec(spec, packet):
     return replace(spec, abs_tol=max(spec.abs_tol, spec.rel_tol * scale))
 
 
+def _shared_rule(region, direction, x_probe, x_abs_max, taus, packet, potential, spec):
+    """Rule of one (region, direction) component for every time in ``taus``.
+
+    Seeded and refined at the largest time, then refined against the
+    smallest (skipped when both are one time); each probe evaluates the
+    component at ``x_probe``.  Returns the rule and the probes' QuadResults.
+    """
+    tau_hi, tau_lo = max(taus), min(taus)
+    x_span = _x_phase_span(region, x_abs_max, packet)
+    rule = spectral_rule(
+        packet, direction, potential.branch_energies(), tau_hi, x_span,
+        _probe_spec(spec, packet),
+    )
+    probes = [
+        rule.refine_against(
+            lambda u, tau=tau: wave_at(
+                _region_coeffs(region, direction, u, tau, packet, potential), x_probe
+            )
+        )
+        for tau in dict.fromkeys((tau_hi, tau_lo))
+    ]
+    return rule, probes
+
+
 def _refined_rule(region, direction, x_probe, x_abs_max, tau, packet, potential, spec):
-    """Rule of one (region, direction, time) component, refined at ``x_probe``.
+    """Rule of one (region, direction) component at one time, refined at ``x_probe``.
 
     Returns the rule, the probe's QuadResult and the integrand pieces on the
     rule's final nodes.
     """
-    x_span = _x_phase_span(region, x_abs_max, packet)
-    rule = spectral_rule(
-        packet, direction, potential.branch_energies(), tau, x_span,
-        _probe_spec(spec, packet),
-    )
-    probe = rule.refine_against(
-        lambda u: wave_at(_region_coeffs(region, direction, u, tau, packet, potential), x_probe)
+    rule, (probe,) = _shared_rule(
+        region, direction, x_probe, x_abs_max, (tau,), packet, potential, spec
     )
     return rule, probe, _region_coeffs(region, direction, rule.u, tau, packet, potential)
 
 
-def _component(region, direction, xs, tau, packet, potential, spec):
-    """One spectral component for all x of a region at one time.
+def _grid_offsets(xs):
+    """Offsets (x_a, x_b) with xs[a * len(x_b) + b] = x_a[a] + x_b[b].
 
-    Returns (psi values, error estimates, converged flag of the probe).
+    An ascending uniform slice of at least 4 points (every CLI grid, and
+    every region slice of one) splits into about sqrt(n) offsets each, with
+    x_b >= 0 so that a decaying wave's B never exceeds 1; the deviation
+    allowed from exact steps keeps the phase error at round-off.  Any other
+    slice keeps one row per point and x_b = [0].
+    """
+    n = xs.size
+    if n >= 4 and xs[-1] > xs[0]:
+        h = (xs[-1] - xs[0]) / (n - 1)
+        off_grid = np.max(np.abs(xs - (xs[0] + h * np.arange(n))))
+        if off_grid <= 8.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(xs)))):
+            n_b = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
+            n_a = -(-n // n_b)
+            return xs[0] + (n_b * h) * np.arange(n_a), h * np.arange(n_b)
+    return xs, np.zeros(1)
+
+
+def _plane_wave_sums(rule, waves, xs, taus):
+    """Integrals of the component at every (time, x) of one region, shape (nt, nx).
+
+    With x = x_a + x_b, each wave c e^{+-i theta xi} e^{-i tau u^2} is the
+    product of a left factor c e^{-i tau u^2} A^{+-1}, one row per
+    (time, x_a), and a right factor B^{+-1}, one column per x_b, where
+    A = e^{i theta (x_a - x_offset)} and B = e^{i theta x_b}: the
+    exponentials and divisions are per (x_a or x_b, node), and
+    ``SpectralRule.integrate_separable`` reduces the products over nodes.
+    Returns (values, per-panel error estimates).
+    """
+    c_in, c_out, theta, xoff = waves
+    x_a, x_b = _grid_offsets(xs)
+    coeffs = [c_in] if c_out is None else [c_in, c_out]
+    n_a, n_u, terms = x_a.size, theta.size, len(coeffs)
+    a_tabs = [np.exp(1j * np.multiply.outer(x_a - xoff, theta))]
+    right = np.empty((n_u, terms, x_b.size), dtype=complex)
+    np.exp(1j * np.multiply.outer(theta, x_b), out=right[:, 0])
+    if c_out is not None:
+        a_tabs.append(1.0 / a_tabs[0])
+        np.divide(1.0, right[:, 0], out=right[:, 1])
+    n_rows = taus.size * n_a
+    u2 = rule.u * rule.u
+    chunk = max(1, int(_ENTRY_BUDGET // (n_u * terms + 2 * rule.n_panels * x_b.size)))
+    psi = np.empty((n_rows, x_b.size), dtype=complex)
+    err = np.empty((n_rows, x_b.size), dtype=float)
+    for r0 in range(0, n_rows, chunk):
+        r1 = min(n_rows, r0 + chunk)
+        left = np.empty((r1 - r0, n_u, terms), dtype=complex)
+        for it in range(r0 // n_a, (r1 - 1) // n_a + 1):
+            lo, hi = max(r0, it * n_a), min(r1, (it + 1) * n_a)  # rows of time it
+            phase_t = np.exp(-1j * taus[it] * u2)
+            for s in range(terms):
+                np.multiply(
+                    coeffs[s] * phase_t, a_tabs[s][lo - it * n_a:hi - it * n_a],
+                    out=left[lo - r0:hi - r0, :, s],
+                )
+        psi[r0:r1], err[r0:r1] = rule.integrate_separable(left, right)
+    shape = (taus.size, n_a * x_b.size)
+    return psi.reshape(shape)[:, :xs.size], err.reshape(shape)[:, :xs.size]
+
+
+def _component(region, direction, xs, taus, packet, potential, spec):
+    """One spectral component for all x of a region at all times ``taus``.
+
+    Returns (psi values, error estimates), each of shape (nt, nx), and the
+    converged flag of both probes.
     """
     x_probe = float(xs[np.argmax(np.abs(xs))])
-    rule, probe, (c_in, c_out, theta, xoff) = _refined_rule(
-        region, direction, x_probe, abs(x_probe), tau, packet, potential, spec
+    rule, probes = _shared_rule(
+        region, direction, x_probe, abs(x_probe), taus, packet, potential, spec
     )
-    xi = xs - xoff
-    i_theta = 1j * theta
-    psi = np.empty(xs.size, dtype=complex)
-    err = np.empty(xs.size, dtype=float)
-    # cap the temporary (x chunk) x (nodes) matrices at ~100 MB
-    x_chunk = max(1, min(_X_CHUNK, int(6e6 // max(1, rule.u.size))))
-    for start in range(0, xs.size, x_chunk):
-        # fv = c_in E + c_out / E with E = e^{i theta xi}, built in place
-        fv = np.multiply.outer(xi[start:start + x_chunk], i_theta)
-        np.exp(fv, out=fv)
-        if c_out is None:
-            fv *= c_in
-        else:
-            back = c_out / fv
-            fv *= c_in
-            fv += back
-        vals, errs = rule.integrate_values(fv)
-        psi[start:start + x_chunk] = vals
-        err[start:start + x_chunk] = errs
-    return psi, err, probe.converged
+    # the time phase e^{-i tau u^2} is folded in per time by the assembly
+    waves = _region_coeffs(region, direction, rule.u, 0.0, packet, potential)
+    psi, err = _plane_wave_sums(rule, waves, xs, taus)
+    return psi, err, all(p.converged for p in probes)
 
 
 def evolve(
@@ -194,21 +263,18 @@ def evolve(
     err = np.zeros((t.size, x.size), dtype=float)
     conv = np.ones((t.size, x.size), dtype=bool)
 
-    masks = _region_masks(x)
-    for it, tv in enumerate(t):
-        tau = tv - packet.t0_tilde
-        for region, mask in masks.items():
-            if not np.any(mask):
-                continue
-            xs = x[mask]
-            for direction, target in (("forward", psi_fwd), ("backward", psi_bwd)):
-                vals, errs, ok = _component(
-                    region, direction, xs, tau, packet, potential, quad
-                )
-                target[it, mask] = pref * vals
-                err[it, mask] += abs(pref) * errs
-                if not ok:
-                    conv[it, mask] = False
+    taus = t - packet.t0_tilde
+    for region, mask in _region_masks(x).items():
+        if not (np.any(mask) and t.size):
+            continue
+        for direction, target in (("forward", psi_fwd), ("backward", psi_bwd)):
+            vals, errs, ok = _component(
+                region, direction, x[mask], taus, packet, potential, quad
+            )
+            target[:, mask] = pref * vals
+            err[:, mask] += abs(pref) * errs
+            if not ok:
+                conv[:, mask] = False
 
     return WaveField(x, t, psi_fwd, psi_bwd, err, conv)
 

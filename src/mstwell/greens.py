@@ -14,8 +14,7 @@ and panels plus integration-by-parts boundary corrections for the
 amplitude-modulated remainder.
 
 Only sources left of the profile (x_src < 0) are exposed; that is the
-scattering scenario this package models.  The mirrored source-beyond lines
-exist for the reciprocity check.
+scattering scenario this package models.
 """
 
 from __future__ import annotations

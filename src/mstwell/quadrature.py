@@ -17,9 +17,9 @@ phase bound phi(u) = t*u^2 + x_span*u within phase_per_panel, where
 to x_span.  They are then refined adaptively with the embedded 7/15
 Gauss-Kronrod pair, which splits panels in place so they stay in
 ascending order from lo to hi.  ``adaptive_panels`` totals panels with a
-correctly rounded sum (``math.fsum``), ``integrate_values`` with
-``np.add.reduce`` in that ascending order, so results are bit-identical
-for identical inputs.
+correctly rounded sum (``math.fsum``), ``integrate_values`` and
+``integrate_separable`` with ``np.add.reduce`` in a fixed order, so results
+are bit-identical for identical inputs.
 
 ``SpectralRule`` is the one engine: every integral of the package (the
 packet components, the dwell integrals and the space-time kernel) seeds a
@@ -226,9 +226,10 @@ class SpectralRule:
     """Reusable node set for integrating many integrands over one window.
 
     The time evolution evaluates the same energy window for every spatial
-    point of a region; building the refined panel set once against a probe
-    integrand (the worst-phase point) and reusing its nodes keeps each
-    additional point down to a weighted sum.
+    point and time of a region; building the refined panel set once against
+    probe integrands (the worst-phase point) and reusing its nodes keeps the
+    samples down to weighted sums, taken for all of them at once by
+    ``integrate_separable``.
     """
 
     def __init__(self, lo, hi, u_breaks, t_scale, x_span, spec: QuadratureSpec):
@@ -263,3 +264,27 @@ class SpectralRule:
         shaped = fv.reshape(fv.shape[:-1] + (self.n_panels, 15))
         vals, errs = _kronrod_sums(shaped, self._half)
         return np.add.reduce(vals, axis=-1), np.sum(errs, axis=-1)
+
+    def integrate_separable(self, left, right):
+        """Integrate many sums of separable products from their factors on ``self.u``.
+
+        Sample (r, c) integrates f_rc(u) = sum_s left[r, :, s] right[:, s, c],
+        with ``left`` of shape (rows, len(u), S) and ``right`` of shape
+        (len(u), S, cols).  One stacked matrix product gives every sample's
+        Kronrod value and Kronrod - Gauss difference on every panel; returns
+        (value, error_estimate) of shape (rows, cols): the values summed
+        over panels in a fixed order and, as ``integrate_values`` gives it,
+        the error summed over panels of |Kronrod - Gauss|.
+        """
+        rows, _, terms = left.shape
+        cols = right.shape[-1]
+        panels = self.n_panels
+        # panel p of the left factor is a strided view: no copy for matmul
+        lhs = left.reshape(rows, panels, 15 * terms).transpose(1, 0, 2)
+        rhs = np.empty((panels, 15, terms, 2, cols), dtype=complex)
+        for w, weights in enumerate((WGK, WERR)):
+            scaled = (self._half[:, None] * weights)[:, :, None, None]
+            np.multiply(right.reshape(panels, 15, terms, cols), scaled, out=rhs[:, :, :, w])
+        out = np.matmul(lhs, rhs.reshape(panels, 15 * terms, 2 * cols))
+        vals, errs = out[..., :cols], np.abs(out[..., cols:])
+        return np.add.reduce(vals, axis=0), np.add.reduce(errs, axis=0)

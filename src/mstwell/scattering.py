@@ -57,13 +57,12 @@ class StepTMatrixSet:
 
 @dataclass(frozen=True)
 class ScatteringSet:
-    """The four amplitudes and common denominator of the two-step profile."""
+    """The four amplitudes of the two-step profile."""
 
     t: complex
     t_prime: complex
     r_prime: complex
     r: complex
-    denom: complex
 
 
 def step_amplitudes(k_left, k_right) -> StepAmplitudes:
@@ -117,13 +116,12 @@ def step_t_matrices(k_left, k_right) -> StepTMatrixSet:
 
 def closed_amplitudes(e_tilde, potential: PotentialSpec) -> ScatteringSet:
     """Closed-form amplitudes at one energy (scalar convenience wrapper)."""
-    t, tp, rp, r, den = amplitude_table(np.atleast_1d(float(e_tilde)), potential)
+    t, tp, rp, r, _ = amplitude_table(np.atleast_1d(float(e_tilde)), potential)
     return ScatteringSet(
         t=complex(t[0]),
         t_prime=complex(tp[0]),
         r_prime=complex(rp[0]),
         r=complex(r[0]),
-        denom=complex(den[0]),
     )
 
 
@@ -251,9 +249,14 @@ def mst_compose(e_tilde, potential: PotentialSpec) -> ScatteringSet:
     t_cap = tm1.t_trans * g01 * tm0.t_trans / d_plus
     t_prime_cap = tm0.t_trans / d_plus
     r_prime_cap = tm1.t_refl_left * g01 * t_prime_cap
-    r_cap = tm0.t_refl_left + (
-        tm0.t_trans * g01 * tm1.t_refl_left * g01 * tm0.t_trans / d_plus
-    )
+    # t_refl_left + t_trans g01 t_refl_left g01 t_trans / d_plus reduces to
+    # 2ik [(k - k_u)/(k + k_u) + e^{2ik_u} (k_u - k_d)/(k_u + k_d)] / d_plus; with
+    # e^{2ik_u} = 1 + m its m-free part factors, so nothing cancels where r is
+    # small at a transmission resonance (m -> 0)
+    m = 2j * np.exp(1j * ku) * np.sin(ku)
+    r_cap = 2j * k * (
+        2.0 * ku * (k - kd) / ((k + ku) * (ku + kd)) + m * (ku - kd) / (ku + kd)
+    ) / d_plus
 
     sqrt_k = np.sqrt(k)
     sqrt_ku = np.sqrt(ku)
@@ -263,7 +266,6 @@ def mst_compose(e_tilde, potential: PotentialSpec) -> ScatteringSet:
         t_prime=_M_OVER_IH2 * t_prime_cap / (sqrt_k * sqrt_ku),
         r_prime=_M_OVER_IH2 * np.exp(1j * ku) * r_prime_cap / (sqrt_k * sqrt_ku),
         r=_M_OVER_IH2 * r_cap / k,
-        denom=d_plus,
     )
 
 

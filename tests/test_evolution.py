@@ -1,6 +1,7 @@
 """Spectral time evolution: free limits, decomposition, and continuity."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,16 @@ from mstwell import (
     stationary_density,
     wave_at,
 )
-from mstwell.evolution import _refined_rule, _region_masks, packet_prefactor
+from mstwell import evolution
+from mstwell.evolution import (
+    _grid_offsets,
+    _refined_rule,
+    _region_coeffs,
+    _region_masks,
+    _shared_rule,
+    packet_prefactor,
+)
+from mstwell.quadrature import SpectralRule
 
 FREE = PotentialSpec(0.0, 0.0)
 PACKET = PacketSpec(100.0, 0.1, -10.0)
@@ -100,6 +110,123 @@ class TestDenseReference:
                     dense, _ = rule.integrate_values(fv)
                     mass, _ = rule.integrate_values(np.abs(fv))
                     assert abs(value - pref * dense) <= 1e-13 * abs(pref) * mass
+
+
+def _assert_matches_per_point_sums(field, packet, pot, quad=None):
+    """Every sample of ``field`` against per-x sums on the rule evolve uses.
+
+    The rule of each (region, direction) is rebuilt for all of the field's
+    times; each sample is integrated from its own integrand values with
+    ``integrate_values``.  Values agree within 1e-13 of the integral of
+    |integrand| (see TestDenseReference) and the error column within 1e-13
+    of the integral of |integrand| |Kronrod - Gauss weight| / Kronrod weight.
+    """
+    quad = quad or QuadratureSpec()
+    pref = packet_prefactor(packet)
+    taus = field.t_grid - packet.t0_tilde
+    ref_err = np.zeros_like(field.error_estimate)
+    err_mass = np.zeros_like(field.error_estimate)
+    for region, mask in _region_masks(field.x_grid).items():
+        xs = field.x_grid[mask]
+        if not xs.size:
+            continue
+        x_probe = float(xs[np.argmax(np.abs(xs))])
+        for direction, psi in (("forward", field.psi_fwd), ("backward", field.psi_bwd)):
+            rule, _ = _shared_rule(
+                region, direction, x_probe, abs(x_probe), taus, packet, pot, quad
+            )
+            for it, tau in enumerate(taus):
+                waves = _region_coeffs(region, direction, rule.u, tau, packet, pot)
+                for ix, xv in zip(np.flatnonzero(mask), xs):
+                    fv = wave_at(waves, xv)
+                    dense, err = rule.integrate_values(fv)
+                    mass, _ = rule.integrate_values(np.abs(fv))
+                    assert abs(psi[it, ix] - pref * dense) <= 1e-13 * abs(pref) * mass
+                    ref_err[it, ix] += abs(pref) * err
+                    err_mass[it, ix] += abs(pref) * mass
+    assert np.all(np.abs(field.error_estimate - ref_err) <= 1e-13 * err_mass)
+    return ref_err
+
+
+class TestFactoredAssembly:
+    """Uniform region slices factor as x = x_a + x_b into ~sqrt(n) tables each."""
+
+    @pytest.mark.parametrize("pot", [PotentialSpec(10.0, 40.0), PotentialSpec(200.0, 0.0)])
+    def test_uniform_regions_match_per_point_sums(self, pot):
+        # U = 200 makes the inner wave evanescent across the spectrum's bulk
+        x = np.linspace(-3.0, 4.0, 71)
+        field = evolve(PACKET, pot, x, [0.45])
+        for xs in (x[m] for m in _region_masks(x).values()):
+            assert _grid_offsets(xs)[1].size > 1  # every region factored
+        _assert_matches_per_point_sums(field, PACKET, pot)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_short_region_slices(self, n):
+        x = np.concatenate([
+            np.linspace(-1.5, -0.3, n), np.linspace(0.1, 0.9, n), np.linspace(1.2, 2.0, n)
+        ])
+        pot = PotentialSpec(10.0, 40.0)
+        field = evolve(PACKET, pot, x, [0.5])
+        _assert_matches_per_point_sums(field, PACKET, pot)
+
+    def test_grid_offsets(self):
+        x = np.linspace(-2.0, 3.0, 11)
+        x_a, x_b = _grid_offsets(x)
+        assert (x_a.size, x_b.size) == (3, 4)
+        np.testing.assert_allclose(np.add.outer(x_a, x_b).ravel()[:11], x, atol=1e-15)
+        for xs in (x[:3], x[[0, 1, 2, 4]], x[::-1]):  # too short, not uniform, descending
+            x_a, x_b = _grid_offsets(xs)
+            assert np.array_equal(x_a, xs) and np.array_equal(x_b, [0.0])
+
+    def test_times_share_one_rule(self):
+        pot = PotentialSpec(-100.0, 0.0)
+        x = np.linspace(-2.0, 3.0, 26)
+        times = [0.3, 0.45, 0.6]
+        field = evolve(PACKET, pot, x, times)
+        _assert_matches_per_point_sums(field, PACKET, pot)
+        # against one evolve per time, each on a rule of its own
+        for i, t in enumerate(times):
+            alone = evolve(PACKET, pot, x, [t])
+            for psi, ref in ((field.psi_fwd, alone.psi_fwd), (field.psi_bwd, alone.psi_bwd)):
+                assert np.max(np.abs(psi[i] - ref[0])) <= 1e-8 * np.max(np.abs(ref[0]))
+
+    @pytest.mark.parametrize("budget", [1, 1e5])
+    def test_row_chunks(self, budget, monkeypatch):
+        # one row per product, and products that start and end inside a time
+        monkeypatch.setattr(evolution, "_ENTRY_BUDGET", budget)
+        pot = PotentialSpec(10.0, 40.0)
+        field = evolve(PACKET, pot, np.linspace(-3.0, 4.0, 71), [0.3, 0.45])
+        _assert_matches_per_point_sums(field, PACKET, pot)
+
+    def test_error_column_is_the_per_panel_sum(self):
+        # a loose tolerance leaves panel errors far above round-off, so the
+        # per-panel sum of |Kronrod - Gauss| is told apart from weaker forms
+        quad = QuadratureSpec(rel_tol=1e-4, abs_tol=1e-8)
+        pot = PotentialSpec(10.0, 40.0)
+        field = evolve(PACKET, pot, np.linspace(-3.0, 4.0, 36), [0.3, 0.5], quad)
+        ref_err = _assert_matches_per_point_sums(field, PACKET, pot, quad)
+        assert np.min(ref_err) > 0.0
+
+    def test_converged_needs_both_probes(self, monkeypatch):
+        pot = PotentialSpec(10.0, 40.0)
+        x = np.linspace(-1.0, -0.1, 10)
+        tiny = QuadratureSpec(max_panels=2)
+        assert not np.any(evolve(PACKET, pot, x, [0.5], tiny).converged)
+        refine = SpectralRule.refine_against
+
+        def failing_probe(nth):
+            # the nth probe of every rule reports non-convergence
+            def probe(self, probe_g):
+                self.probes_seen = getattr(self, "probes_seen", 0) + 1
+                result = refine(self, probe_g)
+                return replace(result, converged=result.converged and self.probes_seen != nth)
+            return probe
+
+        for nth, times, expected in ((1, [0.3, 0.5], False), (2, [0.3, 0.5], False),
+                                     (2, [0.5], True), (3, [0.3, 0.5], True)):
+            monkeypatch.setattr(SpectralRule, "refine_against", failing_probe(nth))
+            field = evolve(PACKET, pot, x, times)
+            assert np.all(field.converged == expected), (nth, times)
 
 
 class TestPsiPoint:

@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import mstwell as mw
 from mstwell import (
@@ -119,6 +119,7 @@ class TestMstComposition:
         d=st.floats(0.0, 150.0),
     )
     @settings(max_examples=200, deadline=None)
+    @example(e_off=108.875, u=-137.875, d=0.0)  # transmission resonance, |r| ~ 1e-4
     def test_matches_closed_form(self, e_off, u, d):
         e = max(u, d, 0.0) + e_off
         pot = PotentialSpec(u, d)

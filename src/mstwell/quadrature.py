@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Kronrod evaluation of the semi-infinite spectral integrals.
+"""Adaptive Gauss-Kronrod and Levin evaluation of the semi-infinite spectral integrals.
 
 All energy integrals in this package share one shape: a semi-infinite
 integral over E of an oscillatory integrand damped by a Gaussian spectral
@@ -21,10 +21,14 @@ correctly rounded sum (``math.fsum``), ``integrate_values`` and
 ``integrate_separable`` with ``np.add.reduce`` in a fixed order, so results
 are bit-identical for identical inputs.
 
-``SpectralRule`` is the one engine: every integral of the package (the
-packet components, the dwell integrals and the space-time kernel) seeds a
-rule, refines it against one integrand g(u) and, where many integrands
-share the window, reuses its nodes.
+``SpectralRule`` is the one Gauss-Kronrod engine: every integral of the
+package (the packet components, the dwell integrals and the head of the
+space-time kernel) seeds a rule, refines it against one integrand g(u)
+and, where many integrands share the window, reuses its nodes.  The one
+exception is the kernel's tail past its last stationary point, a chirp
+e^{-i tau u^2} over a slowly varying amplitude: ``levin_tail`` integrates
+it by Levin collocation on panels sized by the amplitude, refined by the
+same splitting loop (``_refine_panels``) as the Gauss-Kronrod panels.
 """
 
 from __future__ import annotations
@@ -172,8 +176,17 @@ def _compensated_sum(vals):
 
 
 def adaptive_panels(g, edges, spec: QuadratureSpec):
-    """Adaptive refinement of an initial panel set for integrand ``g(u)``.
+    """Adaptive Gauss-Kronrod refinement of an initial panel set for integrand ``g(u)``.
 
+    Returns (QuadResult, final_edges), as ``_refine_panels`` gives them.
+    """
+    return _refine_panels(lambda a, b: _panel_eval(g, a, b), edges, spec)
+
+
+def _refine_panels(panel_eval, edges, spec: QuadratureSpec):
+    """Adaptive refinement of an initial panel set under a per-panel rule.
+
+    ``panel_eval(a, b)`` returns the (value, error) of every panel [a, b].
     Returns (QuadResult, final_edges).  Refinement halves every panel whose
     error exceeds its share of the tolerance, keeping the panels in
     ascending order; iteration stops on convergence or when the panel
@@ -182,7 +195,7 @@ def adaptive_panels(g, edges, spec: QuadratureSpec):
     edges = np.asarray(edges, dtype=float)
     if edges.size < 2 or np.all(edges[1:] <= edges[:-1]):
         return QuadResult(0.0 + 0.0j, 0.0, 0, True), edges
-    vals, errs = _panel_eval(g, edges[:-1], edges[1:])
+    vals, errs = panel_eval(edges[:-1], edges[1:])
 
     converged = False
     for _ in range(60):
@@ -198,7 +211,7 @@ def adaptive_panels(g, edges, spec: QuadratureSpec):
         # panel i becomes [lo_i, mid_i] in place and [mid_i, hi_i] right after it
         lo, hi = edges[split], edges[split + 1]
         mid = 0.5 * (lo + hi)
-        new_vals, new_errs = _panel_eval(g, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        new_vals, new_errs = panel_eval(np.concatenate([lo, mid]), np.concatenate([mid, hi]))
         vals[split], errs[split] = new_vals[:split.size], new_errs[:split.size]
         vals = np.insert(vals, split + 1, new_vals[split.size:])
         errs = np.insert(errs, split + 1, new_errs[split.size:])
@@ -288,3 +301,67 @@ class SpectralRule:
         out = np.matmul(lhs, rhs.reshape(panels, 15 * terms, 2 * cols))
         vals, errs = out[..., :cols], np.abs(out[..., cols:])
         return np.add.reduce(vals, axis=0), np.add.reduce(errs, axis=0)
+
+
+def _chebyshev_lobatto(n):
+    """Lobatto nodes of degree n on [-1, 1] (ascending) and their differentiation matrix.
+
+    The sine form keeps the nodes exactly symmetric and makes every second
+    node of degree 2m bit-identical to the nodes of degree m.
+    """
+    j = np.arange(n + 1)
+    s = np.sin(math.pi * (2 * j - n) / (2 * n))
+    c = np.where((j == 0) | (j == n), 2.0, 1.0) * (-1.0) ** j
+    d = np.outer(c, 1.0 / c) / (s[:, None] - s + np.eye(n + 1))
+    d -= np.diag(d.sum(axis=1))  # a derivative annihilates constants
+    return s, d
+
+
+# Levin collocation nodes (degree 16) and the differentiation matrices of the
+# full set and of its degree-8 subset ``LEVIN_S[::2]``, the error estimate
+LEVIN_S, _LEVIN_D = _chebyshev_lobatto(16)
+_LEVIN_D_HALF = _chebyshev_lobatto(8)[1]
+
+# Levin panels are seeded at this rise of the amplitudes' own phase
+# (``OSC_ALLOWANCE`` per unit u), about two of their periods a panel
+_LEVIN_PHASE = 4.0 * math.pi
+
+
+def _levin_panels(h, beta, tau, a, b):
+    """Per-panel (value, error) of the paired Levin integrand; see ``levin_tail``."""
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    u = mid[:, None] + half[:, None] * LEVIN_S
+    hu = np.asarray(h(u.ravel()), dtype=np.complex128).reshape(u.shape)
+    # the two terms h e^{i beta u} and conj(h) e^{-i beta u} share the chirp
+    sign = np.array([1.0, -1.0])[:, None, None]
+    slope = half[:, None] * (sign * beta - 2.0 * tau * u)  # half-width times phi'
+    rhs = half[:, None] * np.stack([hu, np.conj(hu)])
+    ends = np.stack([a, b], axis=-1)
+    wave = np.exp(1j * beta * ends)
+    ends_phase = np.exp(-1j * tau * ends * ends) * np.stack([wave, np.conj(wave)])
+    vals = []
+    for d, nodes in ((_LEVIN_D, slice(None)), (_LEVIN_D_HALF, slice(None, None, 2))):
+        # D p + i half phi' p = half h at the nodes: one batched solve for
+        # every panel and both terms
+        system = d + 1j * slope[..., nodes, None] * np.eye(len(d))
+        p = np.linalg.solve(system, rhs[..., nodes, None])[..., 0]
+        vals.append(p[..., -1] * ends_phase[..., 1] - p[..., 0] * ends_phase[..., 0])
+    full, coarse = vals
+    return full[0] + full[1], np.abs(full - coarse).sum(axis=0)
+
+
+def levin_tail(h, beta, tau, lo, hi, spec: QuadratureSpec) -> QuadResult:
+    """Int_lo^hi [h(u) e^{i beta u} + conj(h(u)) e^{-i beta u}] e^{-i tau u^2} du.
+
+    Levin collocation (D. Levin, Math. Comp. 38 (1982) 531) for a slowly
+    varying amplitude h under phases phi = +-beta u - tau u^2 with no
+    stationary point on [lo, hi]: on each panel [a, b] it solves
+    p' + i phi' p = h at the Chebyshev-Lobatto nodes of degree 16, so the
+    panel integral is p(b) e^{i phi(b)} - p(a) e^{i phi(a)}; the same at the
+    degree-8 subset of the nodes gives, by its distance from it, the
+    panel's error estimate.  Panels are sized by h, which ``OSC_ALLOWANCE``
+    bounds, not by the phase, and refined as ``adaptive_panels`` refines.
+    """
+    edges = phase_capped_edges(lo, hi, [], 0.0, OSC_ALLOWANCE, _LEVIN_PHASE, spec.max_panels)
+    result, _ = _refine_panels(lambda a, b: _levin_panels(h, beta, tau, a, b), edges, spec)
+    return result

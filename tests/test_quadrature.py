@@ -8,12 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from mstwell import PacketSpec, QuadratureSpec, spectral_rule, spectral_window
 from mstwell.quadrature import (
+    LEVIN_S,
     WG,
     WGK,
     XGK,
     QuadratureError,
     SpectralRule,
+    _chebyshev_lobatto,
     adaptive_panels,
+    levin_tail,
     phase_capped_edges,
 )
 
@@ -245,3 +248,59 @@ class TestIntegrateSpectral:
         err = QuadratureError("boom", value=1.5, error_estimate=0.1)
         assert err.value == 1.5
         assert err.error_estimate == 0.1
+
+
+def _chirp(b, tau, lo, hi):
+    """Int_lo^hi e^{i b u - i tau u^2} du in closed form (scipy's complex erfc)."""
+    from scipy.special import erfc
+
+    root = math.sqrt(tau) * np.exp(0.25j * math.pi)
+    shift = b / (2.0 * tau)
+    pref = np.exp(1j * b * b / (4.0 * tau)) * math.sqrt(math.pi) / (2.0 * root)
+    return pref * (erfc(root * (lo - shift)) - erfc(root * (hi - shift)))
+
+
+class TestLevin:
+    """Levin collocation for the paired chirp integrals of the kernel tail."""
+
+    def test_half_degree_nodes_are_every_second_node(self):
+        s8, _ = _chebyshev_lobatto(8)
+        assert np.array_equal(LEVIN_S[::2], s8)
+        assert np.array_equal(LEVIN_S, -LEVIN_S[::-1])
+
+    def test_differentiation_exact_on_polynomials(self):
+        s, d = _chebyshev_lobatto(16)
+        for k in range(17):
+            np.testing.assert_allclose(d @ s**k, k * s ** max(k - 1, 0), atol=1e-11)
+
+    @pytest.mark.parametrize("gamma", [0.0, 2.0, -2.5])
+    def test_modulated_chirp_closed_form(self, gamma):
+        # h = a e^{i gamma u} turns both terms into plain chirps of rate
+        # +-(beta + gamma); gamma spans the amplitudes' own oscillation
+        a, beta, tau, lo, hi = 0.3 - 0.1j, 3.0, 0.5, 30.0, 300.0
+        spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14)
+        res = levin_tail(lambda u: a * np.exp(1j * gamma * u), beta, tau, lo, hi, spec)
+        rate = beta + gamma
+        exact = a * _chirp(rate, tau, lo, hi) + np.conj(a) * _chirp(-rate, tau, lo, hi)
+        assert res.converged
+        assert abs(res.value - exact) <= res.error_estimate + 1e-13
+
+    def test_zero_amplitude(self):
+        res = levin_tail(lambda u: np.zeros_like(u, dtype=complex), 2.0, 0.3, 40.0, 300.0,
+                         QuadratureSpec())
+        assert res.value == 0.0 and res.error_estimate == 0.0 and res.converged
+
+    def test_budget_exhaustion_reports_nonconverged(self):
+        # an amplitude far faster than OSC_ALLOWANCE needs more panels than allowed
+        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300, max_panels=8)
+        res = levin_tail(lambda u: np.exp(40j * u), 2.0, 0.3, 40.0, 300.0, spec)
+        assert not res.converged
+
+    def test_deterministic_repeat(self):
+        h = lambda u: np.exp(2j * u) / u
+        spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14)
+        r1 = levin_tail(h, 1.5, 0.7, 30.0, 300.0, spec)
+        r2 = levin_tail(h, 1.5, 0.7, 30.0, 300.0, spec)
+        assert r1.value == r2.value
+        assert r1.error_estimate == r2.error_estimate
+        assert r1.panels_used == r2.panels_used

@@ -7,8 +7,12 @@ inner wave is written once, from the exit side: with T = psi(1),
 psi(x) = T [C(1 - x) - i k_d S(1 - x)], C(s) = cos(k_u s) and
 S(s) = sin(k_u s)/k_u.  C and S are real for real or imaginary k_u, so
 their x integrals are real entire functions of k_u^2 = E - U, and one
-expression per quantity covers every regime and both branch points.  The
-energy integrals run over u = sqrt(E) on ``spectral_rule``.
+expression per quantity covers every regime and both branch points.  For
+k_u = i kappa the integrals' e^{2 kappa} growth is folded into |T|^2's
+e^{-2 kappa} decay, so deep barriers stay finite.  The packet dwell is one
+vector integral over u = sqrt(E): one ``spectral_rule`` over the backward
+window refines the forward, backward and interference densities together,
+with one exit-side evaluation per node for all three.
 
 All times are in units of t_d; "relative" dwell values are normalized by
 the free flight time d / v(E_perp) = 1 / (2 sqrt(E_perp)).
@@ -21,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PotentialSpec, branch_sqrt
+from .model import PotentialSpec
 from .packet import PacketSpec, spectral_modulus
 from .quadrature import QuadratureSpec, spectral_rule
-from .scattering import amplitude_table, region_waves, wave_at
+from .scattering import amplitude_denominator, region_waves, wave_at
 
 # Taylor coefficients of g(z) = (z - sin z)/z^3 in w = -z^2, highest power
 # first, to 1e-17 at |z| = 1
@@ -40,35 +44,56 @@ def _g(z):
 
 
 def _exit_side(u, potential: PotentialSpec):
-    """(a, k_d, cc, ss, cs) at E = u^2: a = T / (2u) = e^{i k_u} / d and the
-    integrals over 0 < s < 1 of C^2, S^2 and C S (vectorized)."""
-    e = u * u
-    ku = branch_sqrt(e - potential.u_tilde)
-    kd = branch_sqrt(e - potential.delta_tilde)
-    a = np.exp(1j * ku) / amplitude_table(e, potential)[4]
-    cc = 0.5 * (1.0 + np.sinc(2.0 * ku / np.pi).real)
-    ss = 2.0 * _g(2.0 * ku).real
-    cs = 0.5 * np.sinc(ku / np.pi).real ** 2
+    """(a, k_d, cc, ss, cs) at E = u^2 (vectorized).
+
+    a = e^{i Re k_u} / d = T e^{Im k_u} / (2u), and cc, ss, cs are the
+    integrals over 0 < s < 1 of C^2, S^2 and C S times e^{-2 Im k_u}.  For
+    real k_u nothing is scaled; for k_u = i kappa the integrals' e^{2 kappa}
+    growth and |T|^2's e^{-2 kappa} decay cancel analytically, so deep
+    barriers stay finite.
+    """
+    _, ku, kd, _, _, d = amplitude_denominator(u * u, potential)
+    a = np.exp(1j * ku.real) / d
+    kappa = ku.imag
+    evanescent = kappa > 0
+    # propagating (or k_u = 0): the plain integrals, entire in k_u^2
+    kp = np.where(evanescent, 0.0, ku)
+    cc = 0.5 * (1.0 + np.sinc(2.0 * kp / np.pi).real)
+    ss = 2.0 * _g(2.0 * kp).real
+    cs = 0.5 * np.sinc(kp / np.pi).real ** 2
+    if np.any(evanescent):
+        # with decay = e^{-2 kappa} and h = e^{-kappa} sinh(kappa)/kappa = (1 - decay)/(2 kappa)
+        k = np.where(evanescent, kappa, 1.0)
+        decay = np.exp(-2.0 * k)
+        h = -np.expm1(-2.0 * k) / (2.0 * k)
+        # e^{-2k} (sinh 2k - 2k)/(4k^3) cancels for 2k < 1, where the series of g serves
+        ss_e = np.where(
+            k < 0.5,
+            2.0 * decay * np.polyval(_G_SERIES, 4.0 * k * k),
+            (h * (1.0 + decay) - 2.0 * decay) / (4.0 * k * k),
+        )
+        cc = np.where(evanescent, 0.5 * decay + 0.25 * h * (1.0 + decay), cc)
+        ss = np.where(evanescent, ss_e, ss)
+        cs = np.where(evanescent, 0.5 * h * h, cs)
     return a, kd, cc, ss, cs
 
 
-def _dwell_time(u, potential: PotentialSpec):
-    """Buttiker's dwell time t(E) = Int_0^1 |psi_u(x)|^2 dx / (2u) at E = u^2."""
-    a, kd, cc, ss, cs = _exit_side(u, potential)
-    return 2.0 * u * np.abs(a) ** 2 * (cc + np.abs(kd) ** 2 * ss + 2.0 * kd.imag * cs)
+def _inner_densities(u, potential: PotentialSpec):
+    """(t, K) at E = u^2 from one exit-side evaluation (vectorized).
 
-
-def _interference_kernel(u, potential: PotentialSpec):
-    """Int_0^1 psi_u(x)^2 dx / (2u) at E = u^2, which weights psi_> psi_<*."""
+    t(E) = Int_0^1 |psi_u(x)|^2 dx / (2u) is Buttiker's dwell time and
+    K(E) = Int_0^1 psi_u(x)^2 dx / (2u) weights psi_> psi_<*.
+    """
     a, kd, cc, ss, cs = _exit_side(u, potential)
-    return 2.0 * u * a * a * (cc - kd * kd * ss - 2j * kd * cs)
+    t_of_e = 2.0 * u * np.abs(a) ** 2 * (cc + np.abs(kd) ** 2 * ss + 2.0 * kd.imag * cs)
+    kernel = 2.0 * u * a * a * (cc - kd * kd * ss - 2j * kd * cs)
+    return t_of_e, kernel
 
 
 def dwell_energy_density(e_tilde, potential: PotentialSpec) -> dict:
     """Per-energy dwell time t(E;d) and the bare interference kernel."""
-    t_of_e = dwell_asymptotic(e_tilde, potential)
-    kernel = _interference_kernel(np.sqrt(np.atleast_1d(float(e_tilde))), potential)
-    return {"t_of_E": t_of_e, "interference_kernel": complex(kernel[0])}
+    t_of_e, kernel = _inner_densities(np.sqrt(np.atleast_1d(float(e_tilde))), potential)
+    return {"t_of_E": float(t_of_e[0]), "interference_kernel": complex(kernel[0])}
 
 
 def inner_integrals_brute(e_tilde, potential: PotentialSpec, n=400):
@@ -89,7 +114,23 @@ class DwellBreakdown:
     tau_bwd: float
     tau_interference: float
     tau_total: float
-    converged: bool  # all three energy integrals met the quadrature target
+    converged: bool  # each component met its own quadrature target
+
+
+def _dwell_densities(u, packet: PacketSpec, potential: PotentialSpec):
+    """(forward, backward, interference) densities per unit u, shape (len(u), 3).
+
+    t(E) m_>^2, t(E) m_<^2 and 2 Re[K(E) m_> m_< e^{-2iu x_i}] per unit E,
+    times dE/du = 2u.
+    """
+    t_of_e, kernel = _inner_densities(u, potential)
+    m_fwd = spectral_modulus(u, packet, "forward")
+    m_bwd = spectral_modulus(u, packet, "backward")
+    wave = np.exp(-2j * u * packet.x_i_tilde)
+    interference = 2.0 * np.real(kernel * m_fwd * m_bwd * wave)
+    return 2.0 * u[:, None] * np.stack(
+        [t_of_e * m_fwd**2, t_of_e * m_bwd**2, interference], axis=-1
+    )
 
 
 def dwell_total(
@@ -97,39 +138,27 @@ def dwell_total(
     potential: PotentialSpec,
     quad: QuadratureSpec | None = None,
 ) -> DwellBreakdown:
-    """Integrate the three dwell components over the packet's spectrum."""
+    """Integrate the three dwell components over the packet's spectrum.
+
+    One rule over the backward window, which contains the forward one,
+    seeded at the interference term's phase rate 2|x_i|, refines the three
+    components as one vector integrand: each node costs one exit-side
+    evaluation, and each component meets its own target.
+    """
     if quad is None:
         quad = QuadratureSpec()
-    branch = potential.branch_energies()
-
-    def interference(u):
-        m_m = spectral_modulus(u, packet, "forward") * spectral_modulus(u, packet, "backward")
-        weight = m_m * np.exp(-2j * u * packet.x_i_tilde)
-        return 2.0 * np.real(_interference_kernel(u, potential) * weight)
-
-    def diagonal(direction):
-        return lambda u: _dwell_time(u, potential) * spectral_modulus(u, packet, direction) ** 2
-
-    # component: (spectral window, x-driven phase rate, density per unit E)
-    components = {
-        "fwd": ("forward", 0.0, diagonal("forward")),
-        "bwd": ("backward", 0.0, diagonal("backward")),
-        "interference": ("backward", 2.0 * abs(packet.x_i_tilde), interference),
-    }
-    tau = {}
-    converged = True
-    for name, (direction, x_span, dens) in components.items():
-        rule = spectral_rule(packet, direction, branch, 0.0, x_span, quad)
-        res = rule.refine_against(lambda u, dens=dens: 2.0 * u * dens(u))
-        tau[name] = float(np.real(res.value))
-        converged = converged and res.converged
-
+    rule = spectral_rule(
+        packet, "backward", potential.branch_energies(), 0.0,
+        2.0 * abs(packet.x_i_tilde), quad,
+    )
+    res = rule.refine_against(lambda u: _dwell_densities(u, packet, potential))
+    fwd, bwd, interference = (float(v) for v in res.value.real)
     return DwellBreakdown(
-        tau_fwd=tau["fwd"],
-        tau_bwd=tau["bwd"],
-        tau_interference=tau["interference"],
-        tau_total=tau["fwd"] + tau["bwd"] + tau["interference"],
-        converged=converged,
+        tau_fwd=fwd,
+        tau_bwd=bwd,
+        tau_interference=interference,
+        tau_total=fwd + bwd + interference,
+        converged=res.converged,
     )
 
 
@@ -178,7 +207,7 @@ def relative_dwell_asymptotic(e_perp_tilde, potential: PotentialSpec) -> float:
 
 def dwell_asymptotic(e_perp_tilde, potential: PotentialSpec) -> float:
     """Narrowband-limit dwell time (units of t_d): Buttiker's t(E_perp)."""
-    return float(_dwell_time(np.sqrt(np.atleast_1d(float(e_perp_tilde))), potential)[0])
+    return float(_inner_densities(np.sqrt(np.atleast_1d(float(e_perp_tilde))), potential)[0][0])
 
 
 def relative_dwell_turning_point(e_perp_tilde, potential: PotentialSpec) -> float:

@@ -16,7 +16,17 @@ phase bound phi(u) = t*u^2 + x_span*u within phase_per_panel, where
 ``SpectralRule`` adds the amplitudes' internal oscillation (``OSC_ALLOWANCE``)
 to x_span.  They are then refined adaptively with the embedded 7/15
 Gauss-Kronrod pair, which splits panels in place so they stay in
-ascending order from lo to hi.  ``adaptive_panels`` totals panels with a
+ascending order from lo to hi.  A channel wave number sqrt(u^2 - u_b^2)
+has a square-root branch at its break point u_b, where an affine panel
+converges only algebraically; a panel with an edge at a break point is
+graded instead, its nodes placed by the smoothstep map (``SMOOTH``), which
+makes sqrt|u - u_b| analytic in the panel variable.  Splitting copies
+edges exactly, so the halves that keep the break point stay graded and
+the others become affine.  An integrand may return C values per node
+(shape (n, C)): each component then has its own total and target
+max(rel_tol |total_c|, abs_tol), a panel splits when any component needs
+it, and the result converges when every component does.
+``adaptive_panels`` totals panels with a
 correctly rounded sum (``math.fsum``), ``integrate_values`` and
 ``integrate_separable`` with ``np.add.reduce`` in a fixed order, so results
 are bit-identical for identical inputs.
@@ -24,7 +34,8 @@ are bit-identical for identical inputs.
 ``SpectralRule`` is the one Gauss-Kronrod engine: every integral of the
 package (the packet components, the dwell integrals and the head of the
 space-time kernel) seeds a rule, refines it against one integrand g(u)
-and, where many integrands share the window, reuses its nodes.  The one
+(the dwell's three components are one vector integrand) and, where many
+integrands share the window, reuses its nodes.  The one
 exception is the kernel's tail past its last stationary point, a chirp
 e^{-i tau u^2} over a slowly varying amplitude: ``levin_tail`` integrates
 it by Levin collocation on panels sized by the amplitude, refined by the
@@ -70,6 +81,16 @@ WG = np.zeros(15)
 WG[1:14:2] = np.concatenate([_WG_HALF, [0.4179591836734694], _WG_HALF[::-1]])
 WERR = WGK - WG
 
+# Graded panels: a panel [a, b] with an edge at a channel branch point u_b
+# puts its nodes at u = a + (b - a)(3s^2 - 2s^3), s = (1 + x)/2, where the
+# map's double zero of du/ds at both ends turns sqrt|u - u_b| into an
+# analytic function of s.  du/dx = (b - a) 3s(1 - s) is the affine
+# half-width (b - a)/2 times 6s(1 - s), folded into the weights.
+_S = 0.5 * (1.0 + XGK)
+SMOOTH = _S * _S * (3.0 - 2.0 * _S)
+WGK_GRADED = WGK * 6.0 * _S * (1.0 - _S)
+WERR_GRADED = WERR * 6.0 * _S * (1.0 - _S)
+
 # Added by ``SpectralRule`` to every integrand's x-driven phase rate for the
 # amplitudes' internal oscillation (the e^{2i k_u} round trip across the profile).
 OSC_ALLOWANCE = 2.5
@@ -101,7 +122,7 @@ class QuadratureSpec:
 
 @dataclass
 class QuadResult:
-    value: complex
+    value: complex  # arrays of C entries for a C-component integrand
     error_estimate: float
     panels_used: int
     converged: bool
@@ -152,22 +173,46 @@ def phase_capped_edges(lo, hi, u_breaks, t_scale, x_span, phase_cap, max_panels)
     return np.concatenate(edges)
 
 
-def _kronrod_nodes(a, b):
-    """Kronrod nodes of the panels [a, b], shape (panels, 15), and half-widths."""
+def _graded(a, b, u_breaks):
+    """Panels [a, b] with an edge at a channel branch point (edges are exact copies)."""
+    return np.isin(a, u_breaks) | np.isin(b, u_breaks)
+
+
+def _kronrod_nodes(a, b, graded):
+    """Kronrod nodes of the panels [a, b], shape (panels, 15), and half-widths.
+
+    ``graded`` panels take the smoothstep map of ``SMOOTH``; the others the
+    affine one.
+    """
     half = 0.5 * (b - a)
-    return (0.5 * (a + b))[:, None] + half[:, None] * XGK, half
+    u = (0.5 * (a + b))[:, None] + half[:, None] * XGK
+    if graded.any():
+        u[graded] = a[graded, None] + (b - a)[graded, None] * SMOOTH
+    return u, half
 
 
-def _kronrod_sums(fv, half):
+def _kronrod_sums(fv, half, graded):
     """Per-panel (value, error) from integrand values of shape (..., panels, 15)."""
-    return (fv @ WGK) * half, np.abs((fv @ WERR) * half)
+    vals, errs = (fv @ WGK) * half, np.abs((fv @ WERR) * half)
+    if graded.any():
+        on = fv[..., graded, :]
+        vals[..., graded] = (on @ WGK_GRADED) * half[graded]
+        errs[..., graded] = np.abs((on @ WERR_GRADED) * half[graded])
+    return vals, errs
 
 
-def _panel_eval(g, a, b):
-    """Evaluate one batch of panels; returns per-panel (value, error)."""
-    u, half = _kronrod_nodes(a, b)
-    fv = np.asarray(g(u.ravel()), dtype=np.complex128).reshape(u.shape)
-    return _kronrod_sums(fv, half)
+def _panel_eval(g, a, b, u_breaks):
+    """Evaluate one batch of panels; returns per-panel (value, error).
+
+    ``g`` returns shape (n,) or (n, C) on n nodes; the results are then
+    (panels,) or (panels, C).
+    """
+    graded = _graded(a, b, u_breaks)
+    u, half = _kronrod_nodes(a, b, graded)
+    fv = np.asarray(g(u.ravel()), dtype=np.complex128)
+    fv = np.moveaxis(fv.reshape(u.shape + fv.shape[1:]), (0, 1), (-2, -1))
+    vals, errs = _kronrod_sums(fv, half, graded)
+    return np.moveaxis(vals, -1, 0), np.moveaxis(errs, -1, 0)
 
 
 def _compensated_sum(vals):
@@ -175,52 +220,72 @@ def _compensated_sum(vals):
     return complex(math.fsum(vals.real), math.fsum(vals.imag))
 
 
-def adaptive_panels(g, edges, spec: QuadratureSpec):
+def _columns(per_panel):
+    """Per-panel results as shape (panels, C), C = 1 for a scalar integrand."""
+    return per_panel.reshape(len(per_panel), -1)
+
+
+def _totals(vals, errs):
+    """Per-component totals of (panels, C) values and errors."""
+    total = np.array([_compensated_sum(v) for v in vals.T])
+    return total, np.array([np.sum(e) for e in errs.T])
+
+
+def adaptive_panels(g, edges, spec: QuadratureSpec, u_breaks=()):
     """Adaptive Gauss-Kronrod refinement of an initial panel set for integrand ``g(u)``.
 
-    Returns (QuadResult, final_edges), as ``_refine_panels`` gives them.
+    Panels with an edge in ``u_breaks`` are graded.  Returns (QuadResult,
+    final_edges), as ``_refine_panels`` gives them.
     """
-    return _refine_panels(lambda a, b: _panel_eval(g, a, b), edges, spec)
+    return _refine_panels(lambda a, b: _panel_eval(g, a, b, u_breaks), edges, spec)
 
 
 def _refine_panels(panel_eval, edges, spec: QuadratureSpec):
     """Adaptive refinement of an initial panel set under a per-panel rule.
 
-    ``panel_eval(a, b)`` returns the (value, error) of every panel [a, b].
-    Returns (QuadResult, final_edges).  Refinement halves every panel whose
-    error exceeds its share of the tolerance, keeping the panels in
-    ascending order; iteration stops on convergence or when the panel
-    budget is exhausted (non-converged result, no raise).
+    ``panel_eval(a, b)`` returns the (value, error) of every panel [a, b],
+    each of shape (panels,) or, for C components, (panels, C).  Returns
+    (QuadResult, final_edges); a vector integrand gets arrays of C values
+    and estimates.  Each component has its own target
+    max(rel_tol |total_c|, abs_tol); refinement halves every panel whose
+    error in any component exceeds its share of that component's target,
+    keeping the panels in ascending order.  Iteration stops when every
+    component converges or the panel budget is exhausted (non-converged
+    result, no raise).
     """
     edges = np.asarray(edges, dtype=float)
     if edges.size < 2 or np.all(edges[1:] <= edges[:-1]):
         return QuadResult(0.0 + 0.0j, 0.0, 0, True), edges
     vals, errs = panel_eval(edges[:-1], edges[1:])
+    vector = vals.ndim > 1
+    vals, errs = _columns(vals), _columns(errs)
 
     converged = False
     for _ in range(60):
-        total = _compensated_sum(vals)
-        err_total = float(np.sum(errs))
-        tol = max(spec.rel_tol * abs(total), spec.abs_tol)
-        converged = err_total <= tol
-        if converged or vals.size >= spec.max_panels:
+        total, err_total = _totals(vals, errs)
+        tol = np.maximum(spec.rel_tol * np.abs(total), spec.abs_tol)
+        converged = bool(np.all(err_total <= tol))
+        if converged or len(vals) >= spec.max_panels:
             break
-        split = np.flatnonzero(errs > 0.5 * tol / vals.size)
+        split = np.flatnonzero(np.any(errs > 0.5 * tol / len(vals), axis=1))
         if split.size == 0:
             break
         # panel i becomes [lo_i, mid_i] in place and [mid_i, hi_i] right after it
         lo, hi = edges[split], edges[split + 1]
         mid = 0.5 * (lo + hi)
-        new_vals, new_errs = panel_eval(np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        new_vals, new_errs = map(
+            _columns, panel_eval(np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        )
         vals[split], errs[split] = new_vals[:split.size], new_errs[:split.size]
-        vals = np.insert(vals, split + 1, new_vals[split.size:])
-        errs = np.insert(errs, split + 1, new_errs[split.size:])
+        vals = np.insert(vals, split + 1, new_vals[split.size:], axis=0)
+        errs = np.insert(errs, split + 1, new_errs[split.size:], axis=0)
         edges = np.insert(edges, split + 1, mid)
     else:
-        total = _compensated_sum(vals)
-        err_total = float(np.sum(errs))
+        total, err_total = _totals(vals, errs)
 
-    return QuadResult(total, err_total, vals.size, converged), edges
+    if not vector:
+        total, err_total = complex(total[0]), float(err_total[0])
+    return QuadResult(total, err_total, len(vals), converged), edges
 
 
 def spectral_rule(packet, direction, branch_points, t_scale, x_span, spec) -> SpectralRule:
@@ -247,6 +312,7 @@ class SpectralRule:
 
     def __init__(self, lo, hi, u_breaks, t_scale, x_span, spec: QuadratureSpec):
         self.spec = spec
+        self.u_breaks = np.asarray(u_breaks, dtype=float)
         self.edges = phase_capped_edges(
             lo, hi, u_breaks, t_scale, x_span + OSC_ALLOWANCE,
             spec.phase_per_panel, spec.max_panels,
@@ -254,16 +320,19 @@ class SpectralRule:
         self._build()
 
     def _build(self):
-        u, self._half = _kronrod_nodes(self.edges[:-1], self.edges[1:])
+        a, b = self.edges[:-1], self.edges[1:]
+        self._graded = _graded(a, b, self.u_breaks)
+        u, self._half = _kronrod_nodes(a, b, self._graded)
         self.u = u.ravel()
         self.n_panels = self._half.size
 
     def refine_against(self, probe_g):
         """Adaptively refine the edges until ``probe_g`` converges.
 
-        Returns the probe QuadResult; nodes are rebuilt on the final edges.
+        ``probe_g`` may return one value per node or a row of C; returns the
+        probe QuadResult, and nodes are rebuilt on the final edges.
         """
-        result, edges = adaptive_panels(probe_g, self.edges, self.spec)
+        result, edges = adaptive_panels(probe_g, self.edges, self.spec, self.u_breaks)
         self.edges = edges
         self._build()
         return result
@@ -275,7 +344,7 @@ class SpectralRule:
         the panel reduction in fixed ascending order.
         """
         shaped = fv.reshape(fv.shape[:-1] + (self.n_panels, 15))
-        vals, errs = _kronrod_sums(shaped, self._half)
+        vals, errs = _kronrod_sums(shaped, self._half, self._graded)
         return np.add.reduce(vals, axis=-1), np.sum(errs, axis=-1)
 
     def integrate_separable(self, left, right):
@@ -295,9 +364,12 @@ class SpectralRule:
         # panel p of the left factor is a strided view: no copy for matmul
         lhs = left.reshape(rows, panels, 15 * terms).transpose(1, 0, 2)
         rhs = np.empty((panels, 15, terms, 2, cols), dtype=complex)
-        for w, weights in enumerate((WGK, WERR)):
-            scaled = (self._half[:, None] * weights)[:, :, None, None]
-            np.multiply(right.reshape(panels, 15, terms, cols), scaled, out=rhs[:, :, :, w])
+        graded = self._graded
+        for w, (weights, graded_weights) in enumerate(((WGK, WGK_GRADED), (WERR, WERR_GRADED))):
+            scaled = self._half[:, None] * weights
+            scaled[graded] = self._half[graded, None] * graded_weights
+            np.multiply(right.reshape(panels, 15, terms, cols), scaled[:, :, None, None],
+                        out=rhs[:, :, :, w])
         out = np.matmul(lhs, rhs.reshape(panels, 15 * terms, 2 * cols))
         vals, errs = out[..., :cols], np.abs(out[..., cols:])
         return np.add.reduce(vals, axis=0), np.add.reduce(errs, axis=0)

@@ -125,6 +125,28 @@ def closed_amplitudes(e_tilde, potential: PotentialSpec) -> ScatteringSet:
     )
 
 
+def amplitude_denominator(e_tilde, potential: PotentialSpec):
+    """(k, k_u, k_d, e^{i k_u}, half_m, d) over an array of energies.
+
+    d is the amplitudes' common denominator over 2 k_u, finite at E = U;
+    half_m = (e^{2i k_u} - 1)/(2 k_u).
+    """
+    e = np.asarray(e_tilde, dtype=np.float64)
+    k = branch_sqrt(e)
+    ku = branch_sqrt(e - potential.u_tilde)
+    kd = branch_sqrt(e - potential.delta_tilde)
+    e1 = np.exp(1j * ku)
+    # denom = (k + k_u)(k_d + k_u) - (k - k_u)(k_d - k_u) e^{2i k_u} = 2 k_u d with
+    # half_m = i e^{ia} sin(a)/a or i (1 - e^{-2b})/(2b) for k_u = a or i b:
+    # ratios to d need no limit at k_u = 0 and do not cancel near it
+    a, b = ku.real, ku.imag
+    sinc_a = np.divide(np.sin(a), a, out=np.ones_like(a), where=a != 0)
+    decay_b = np.divide(np.expm1(-2.0 * b), -2.0 * b, out=np.ones_like(b), where=b != 0)
+    half_m = 1j * np.where(b > 0, decay_b, e1 * sinc_a)
+    d = (k + kd) - half_m * (k - ku) * (kd - ku)
+    return k, ku, kd, e1, half_m, d
+
+
 def amplitude_table(e_tilde, potential: PotentialSpec):
     """Vectorized closed-form amplitudes over an array of energies.
 
@@ -135,19 +157,7 @@ def amplitude_table(e_tilde, potential: PotentialSpec):
     and r_prime diverge as k_u^{-1/2} and stay non-finite (except on the
     flat profile at E = 0).
     """
-    e = np.asarray(e_tilde, dtype=np.float64)
-    k = branch_sqrt(e)
-    ku = branch_sqrt(e - potential.u_tilde)
-    kd = branch_sqrt(e - potential.delta_tilde)
-    e1 = np.exp(1j * ku)
-    # denom = (k + k_u)(k_d + k_u) - (k - k_u)(k_d - k_u) e^{2i k_u} = 2 k_u d with
-    # half_m = (e^{2i k_u} - 1)/(2 k_u) = i e^{ia} sin(a)/a or i (1 - e^{-2b})/(2b) for
-    # k_u = a or i b: ratios to d need no limit at k_u = 0 and do not cancel near it
-    a, b = ku.real, ku.imag
-    sinc_a = np.divide(np.sin(a), a, out=np.ones_like(a), where=a != 0)
-    decay_b = np.divide(np.expm1(-2.0 * b), -2.0 * b, out=np.ones_like(b), where=b != 0)
-    half_m = 1j * np.where(b > 0, decay_b, e1 * sinc_a)
-    d = (k + kd) - half_m * (k - ku) * (kd - ku)
+    k, ku, kd, e1, half_m, d = amplitude_denominator(e_tilde, potential)
     sqrt_k = np.sqrt(k)
     sqrt_ku = np.sqrt(ku)
     sqrt_kd = np.sqrt(kd)

@@ -14,14 +14,16 @@ import pytest
 from mstwell import (
     PacketSpec,
     PotentialSpec,
+    QuadratureSpec,
     dwell_asymptotic,
     dwell_energy_density,
     dwell_resonant,
     dwell_total,
     relative_dwell_asymptotic,
     relative_dwell_turning_point,
+    spectral_rule,
 )
-from mstwell.dwell import inner_integrals_brute
+from mstwell.dwell import _dwell_densities, inner_integrals_brute
 
 
 def buttiker_dwell(e, u):
@@ -251,3 +253,136 @@ class TestPacketTotal:
         res = dwell_total(packet, PotentialSpec(10.0, 0.0))
         assert res.tau_bwd > 0
         assert res.tau_bwd / res.tau_total > 1e-4
+
+
+def _mp_exit_side(e, u_level, delta):
+    """t(E) and K(E) of the exit-side closed form in 60-digit arithmetic.
+
+    T = 2u e^{i k_u} / d with d = (k + k_d) - (e^{2i k_u} - 1)/(2 k_u)
+    (k - k_u)(k_d - k_u), psi(x) = T [C(1 - x) - i k_d S(1 - x)]; the
+    integrals of C^2, S^2 and C S are evaluated from sin of complex k_u,
+    whose growth mpmath carries without overflow.
+    """
+    import mpmath as mp
+
+    with mp.workdps(60):
+        e = mp.mpf(e)
+        k = mp.sqrt(e)
+
+        def channel(v):
+            root = mp.sqrt(mp.mpc(e - v))
+            return -root if mp.im(root) < 0 else root
+
+        ku, kd = channel(u_level), channel(delta)
+        d = (k + kd) - (mp.exp(2j * ku) - 1) / (2 * ku) * (k - ku) * (kd - ku)
+        a = mp.exp(1j * ku) / d
+        z = 2 * ku
+        cc = (1 + mp.sin(z) / z) / 2
+        ss = 2 * (z - mp.sin(z)) / z**3
+        cs = (mp.sin(ku) / ku) ** 2 / 2
+        t = mp.re(2 * k * abs(a) ** 2 * (cc + abs(kd) ** 2 * ss + 2 * mp.im(kd) * cs))
+        kernel = 2 * k * a * a * (cc - kd * kd * ss - 2j * kd * cs)
+        return float(t), complex(kernel)
+
+
+class TestDeepBarrier:
+    """|T|^2's e^{-2 kappa} and the inner integrals' e^{2 kappa} cancel in closed form."""
+
+    @pytest.mark.parametrize("u_level", [1e2, 1e4, 1e5, 1.3e5, 3e5, 1e6])
+    @pytest.mark.parametrize("delta", [0.0, 40.0])
+    def test_matches_high_precision_closed_form(self, u_level, delta):
+        for e in (1.0, 50.0, 99.5, 300.0):
+            # the code works at E = u^2 for u = sqrt(E): compare there
+            e_code = math.sqrt(e) ** 2
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = dwell_energy_density(e, PotentialSpec(u_level, delta))
+            t, kernel = _mp_exit_side(e_code, u_level, delta)
+            assert abs(res["t_of_E"] - t) <= 1e-12 * t
+            assert abs(res["interference_kernel"] - kernel) <= 1e-12 * abs(kernel)
+
+    def test_packet_dwell_is_finite(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = dwell_total(PacketSpec(100.0, 1 / 3, -10.0), PotentialSpec(2e5, 0.0))
+        parts = [res.tau_fwd, res.tau_bwd, res.tau_interference, res.tau_total]
+        assert res.converged and np.all(np.isfinite(parts))
+        assert 0.0 < res.tau_total < dwell_total(
+            PacketSpec(100.0, 1 / 3, -10.0), PotentialSpec(1e5, 0.0)).tau_total
+
+
+def _quad_components(packet, pot):
+    """(fwd, bwd, interference) by scipy's QUADPACK from the per-energy pieces.
+
+    Over u = sqrt(E) with dE = 2u du, the densities are 2u t(E) m^2 with
+    m^2 = sigma / (sqrt(2 pi) u) e^{-2 sigma^2 (u -+ u_perp)^2}, and
+    2u 2 Re[K m_> m_< e^{-2iu x_i}]; every integral runs over the backward
+    window [0, u_perp + 8 / sigma], split at the channel branch points, the
+    interference with QUADPACK's cos/sin weights for e^{-2iu x_i}.
+    """
+    from scipy.integrate import quad
+
+    sig, u0, x_i = packet.sigma_tilde, packet.u_perp, packet.x_i_tilde
+    norm = 2.0 * sig / math.sqrt(2.0 * math.pi)
+    cuts = sorted({0.0, u0 + 8.0 / sig,
+                   *(math.sqrt(b) for b in (pot.u_tilde, pot.delta_tilde) if b > 0)})
+
+    def pieces(u):
+        res = dwell_energy_density(u * u, pot)
+        return res["t_of_E"], res["interference_kernel"]
+
+    def integrate(f, **weight):
+        return math.fsum(quad(f, a, b, epsabs=1e-15, epsrel=1e-12, limit=400, **weight)[0]
+                         for a, b in zip(cuts[:-1], cuts[1:]))
+
+    fwd = integrate(lambda u: norm * pieces(u)[0] * math.exp(-2.0 * sig**2 * (u - u0) ** 2))
+    bwd = integrate(lambda u: norm * pieces(u)[0] * math.exp(-2.0 * sig**2 * (u + u0) ** 2))
+
+    def envelope(u):
+        return 2.0 * norm * math.exp(-2.0 * sig**2 * (u * u + u0 * u0))
+
+    # Re[K e^{-2iu x_i}] = Re K cos(2u x_i) + Im K sin(2u x_i)
+    inter = integrate(lambda u: envelope(u) * pieces(u)[1].real, weight="cos", wvar=2.0 * x_i)
+    inter += integrate(lambda u: envelope(u) * pieces(u)[1].imag, weight="sin", wvar=2.0 * x_i)
+    return fwd, bwd, inter
+
+
+class TestFusedComponents:
+    """The three components on one rule, each against its own QUADPACK integral."""
+
+    @pytest.mark.parametrize("u_level,delta", [
+        (100.0, 0.0),    # E_perp = U
+        (50.0, 90.0),    # sqrt(U) and sqrt(Delta) inside the window
+        (40.5, 40.0),    # U just above Delta
+        (39.5, 40.0),    # U just below Delta
+        (-500.0, 90.0),  # a well, sqrt(Delta) inside the window
+    ])
+    def test_components_match_quadpack(self, u_level, delta):
+        packet = PacketSpec(100.0, 0.1, -10.0)
+        pot = PotentialSpec(u_level, delta)
+        res = dwell_total(packet, pot)
+        assert res.converged
+        ref = _quad_components(packet, pot)
+        got = (res.tau_fwd, res.tau_bwd, res.tau_interference)
+        for value, reference in zip(got, ref):
+            # each component meets its own target, max(rel_tol |tau_c|, abs_tol)
+            assert abs(value - reference) <= 1e-8 * abs(reference) + 1e-12
+
+    def test_one_missed_component_is_not_converged(self):
+        # on the seeded panels plus one round the forward and backward parts
+        # meet their targets and the interference part alone does not
+        packet, pot = PacketSpec(100.0, 0.1, -10.0), PotentialSpec(-500.0, 90.0)
+        seeded = spectral_rule(packet, "backward", pot.branch_energies(), 0.0, 20.0,
+                               QuadratureSpec()).n_panels
+        quad = QuadratureSpec(max_panels=seeded + 2)
+        rule = spectral_rule(packet, "backward", pot.branch_energies(), 0.0, 20.0, quad)
+        probe = rule.refine_against(lambda u: _dwell_densities(u, packet, pot))
+        missed = probe.error_estimate > np.maximum(1e-8 * np.abs(probe.value), 1e-12)
+        assert missed.tolist() == [False, False, True]
+        assert not dwell_total(packet, pot, quad).converged
+        assert dwell_total(packet, pot).converged
+
+    def test_free_profile_is_not_converged(self):
+        # the free packet dwell diverges logarithmically at E -> 0
+        res = dwell_total(PacketSpec(100.0, 0.1, -10.0), PotentialSpec(0.0, 0.0))
+        assert not res.converged

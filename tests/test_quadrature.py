@@ -9,8 +9,11 @@ from hypothesis import given, settings, strategies as st
 from mstwell import PacketSpec, QuadratureSpec, spectral_rule, spectral_window
 from mstwell.quadrature import (
     LEVIN_S,
+    SMOOTH,
+    WERR_GRADED,
     WG,
     WGK,
+    WGK_GRADED,
     XGK,
     QuadratureError,
     SpectralRule,
@@ -248,6 +251,152 @@ class TestIntegrateSpectral:
         err = QuadratureError("boom", value=1.5, error_estimate=0.1)
         assert err.value == 1.5
         assert err.error_estimate == 0.1
+
+
+def _sqrt_kink(b):
+    """sqrt|u - b| and its antiderivative, which is continuous across u = b."""
+    f = lambda u: np.sqrt(np.abs(u - b))
+    big_f = lambda u: (2.0 / 3.0) * np.sign(u - b) * np.abs(u - b) ** 1.5
+    return f, big_f
+
+
+def _channel_root(c):
+    """sqrt|u^2 - c^2| (a channel wave number's modulus) and an antiderivative."""
+    f = lambda u: np.sqrt(np.abs(u * u - c * c))
+
+    def big_f(u):
+        if u >= c:
+            return 0.5 * (u * f(u) - c * c * math.log(u + f(u))) + 0.5 * c * c * (
+                math.log(c) + 0.5 * math.pi)
+        return 0.5 * (u * f(u) + c * c * math.asin(u / c))
+
+    return f, big_f
+
+
+def _assert_separable_matches_values(rule, f):
+    """The stacked products of ``integrate_separable`` weigh nodes as ``integrate_values``."""
+    fv = np.asarray(f(rule.u), dtype=complex)
+    left = np.ones((1, rule.u.size, 1), dtype=complex)
+    sep, sep_err = rule.integrate_separable(left, fv[:, None, None])
+    value, err = rule.integrate_values(fv)
+    assert sep[0, 0] == pytest.approx(value, rel=1e-13)
+    assert sep_err[0, 0] == pytest.approx(err, rel=1e-9)
+
+
+class TestGradedPanels:
+    """Smoothstep nodes on the panels that touch a channel branch point."""
+
+    def test_weights_integrate_the_map(self):
+        # du/dx integrates to the panel length, and the map ends on the edges
+        assert math.fsum(WGK_GRADED) == pytest.approx(2.0, rel=1e-14)
+        assert math.fsum(WGK_GRADED - WERR_GRADED) == pytest.approx(2.0, rel=1e-14)
+        assert np.all(np.diff(SMOOTH) > 0) and 0.0 < SMOOTH[0] < SMOOTH[-1] < 1.0
+
+    @pytest.mark.parametrize("kind", ["kink", "channel"])
+    @pytest.mark.parametrize("b", [0.3, 1.7, 2.5, 3.3, 4.6, 5.7])
+    @pytest.mark.parametrize("rel_tol,rounds", [(1e-8, 0), (1e-10, 2)])
+    def test_branch_integrands_converge_in_few_rounds(self, kind, b, rel_tol, rounds):
+        # algebraic singularities at a break point, on both of its sides:
+        # affine panels ending there need 7-9 rounds of bisection at 1e-8 and
+        # 12-14 at 1e-10; graded ones none at 1e-8, and at 1e-10 one or two,
+        # as the embedded Gauss estimate of the seeded panel width allows
+        lo, hi = 0.0, 6.0
+        f, big_f = _channel_root(b) if kind == "channel" else _sqrt_kink(b)
+        exact = big_f(hi) - big_f(lo)
+        calls = []
+
+        def g(u):
+            calls.append(u.size)
+            return f(u)
+
+        rule = SpectralRule(lo, hi, [b], 0.0, 0.0, QuadratureSpec(rel_tol=rel_tol, abs_tol=1e-300))
+        assert b in rule.edges
+        res = rule.refine_against(g)
+        assert res.converged
+        assert len(calls) - 1 <= rounds
+        assert abs(res.value - exact) <= rel_tol * abs(exact)
+        # the rule's nodes give the same value
+        value, _ = rule.integrate_values(np.asarray(f(rule.u), dtype=complex))
+        assert value == pytest.approx(res.value, rel=1e-13)
+
+    def test_window_without_breaks_keeps_affine_nodes(self):
+        # a rule whose window holds no break point has the plain Kronrod
+        # nodes and sums, bit for bit, whatever breaks lie outside it
+        spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14)
+        probe = lambda u: np.exp(-((u - 4.0) ** 2)) * np.exp(3j * u)
+        plain = SpectralRule(1.0, 9.0, [], 0.5, 3.0, spec)
+        outside = SpectralRule(1.0, 9.0, [0.5, 9.5], 0.5, 3.0, spec)
+        r_plain, r_outside = plain.refine_against(probe), outside.refine_against(probe)
+        assert r_plain == r_outside
+        assert np.array_equal(plain.u, outside.u) and np.array_equal(plain.edges, outside.edges)
+
+        a, b = plain.edges[:-1], plain.edges[1:]
+        half = 0.5 * (b - a)
+        assert np.array_equal(plain.u, ((0.5 * (a + b))[:, None] + half[:, None] * XGK).ravel())
+        fv = probe(plain.u).reshape(-1, 15)
+        value, err = outside.integrate_values(probe(outside.u))
+        assert value == np.add.reduce((fv @ WGK) * half)
+        assert err == np.sum(np.abs((fv @ (WGK - WG)) * half))
+        _assert_separable_matches_values(outside, probe)
+
+    def test_graded_panels_follow_the_break_through_splitting(self):
+        # refinement halves the graded panels; the halves that keep the break
+        # point stay graded and the others become affine
+        rule = SpectralRule(0.0, 6.0, [1.7], 0.0, 0.0, QuadratureSpec(rel_tol=1e-10))
+        spike = lambda u: np.sqrt(np.abs(u - 1.7)) + np.exp(-((40.0 * (u - 1.9)) ** 2))
+        assert rule.refine_against(spike).converged
+        graded = np.isin(rule.edges[:-1], [1.7]) | np.isin(rule.edges[1:], [1.7])
+        assert graded.sum() == 2
+        nodes = rule.u.reshape(-1, 15)
+        a, b = rule.edges[:-1], rule.edges[1:]
+        np.testing.assert_array_equal(nodes[graded], a[graded, None] + (b - a)[graded, None] * SMOOTH)
+        half = 0.5 * (b - a)
+        np.testing.assert_array_equal(
+            nodes[~graded], (0.5 * (a + b))[~graded, None] + half[~graded, None] * XGK)
+        _assert_separable_matches_values(rule, spike)
+
+
+class TestVectorIntegrand:
+    """Integrands of C components on one set of panels."""
+
+    def test_each_component_meets_its_own_target(self):
+        # a unit Gaussian and a 1e-9-sized oscillation: one shared target would
+        # leave the small component unresolved
+        spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-300)
+        edges = np.linspace(-8.0, 8.0, 5)
+        g = lambda u: np.stack([np.exp(-(u**2)), 1e-9 * np.exp(-(u**2)) * np.cos(6.0 * u)], axis=-1)
+        res, _ = adaptive_panels(g, edges, spec)
+        assert res.converged and res.value.shape == (2,) and res.error_estimate.shape == (2,)
+        exact = [math.sqrt(math.pi), 1e-9 * math.sqrt(math.pi) * math.exp(-9.0)]
+        assert res.value[0] == pytest.approx(exact[0], rel=1e-10)
+        assert abs(res.value[1] - exact[1]) <= 1e-10 * exact[1]
+        assert np.all(res.error_estimate <= 1e-10 * np.abs(res.value))
+        # the small component alone asks for the panels the pair got
+        alone, _ = adaptive_panels(lambda u: g(u)[:, 1], edges, spec)
+        assert res.panels_used >= alone.panels_used
+        assert res.value[1] == pytest.approx(alone.value, rel=1e-12)
+
+    def test_scalar_result_unchanged_by_a_second_component(self):
+        # the same integrand as one component of a pair splits the same panels
+        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300)
+        edges = phase_capped_edges(0.0, 1.0, [], 0.0, 50.0, math.pi, 10_000)
+        f = lambda u: np.exp(50j * u)
+        scalar, s_edges = adaptive_panels(f, edges, spec)
+        pair, p_edges = adaptive_panels(lambda u: np.stack([f(u), f(u)], axis=-1), edges, spec)
+        assert np.array_equal(s_edges, p_edges)
+        assert isinstance(scalar.value, complex) and isinstance(scalar.error_estimate, float)
+        np.testing.assert_allclose(pair.value, [scalar.value] * 2, rtol=1e-14)
+
+    def test_one_missed_component_is_not_converged(self):
+        # the first component converges on the seeded panels, the chirp does
+        # not within the budget, and the result says so
+        spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-300, max_panels=6)
+        edges = np.linspace(0.0, 1.0, 5)
+        g = lambda u: np.stack([1.0 + u, np.exp(300j * u * u)], axis=-1)
+        res, _ = adaptive_panels(g, edges, spec)
+        assert not res.converged
+        assert res.error_estimate[0] <= 1e-10 * abs(res.value[0])
+        assert res.error_estimate[1] > 1e-10 * abs(res.value[1])
 
 
 def _chirp(b, tau, lo, hi):

@@ -8,10 +8,16 @@ c_in(u) e^{i theta(u) xi} + c_out(u) e^{-i theta(u) xi}, xi = x - x_offset,
 times the time phase e^{-i tau u^2}, with x- and tau-independent amplitude
 arrays.  So one panel set, refined against a worst-phase probe point at the
 largest and the smallest time, serves every (x, t) sample, and the samples
-are reduced over nodes by one batched matrix product whose factors need
-exponentials only per (time or ~sqrt(n_x) table row, node).  That keeps
-dense space-time grids (needed for norm checks and the grid-solver
-comparison) tractable.
+are reduced over nodes by one batched matrix product.  Its factors hold
+plane-wave tables, one row per ~sqrt(n_x) offset of a uniform x slice, and
+the time phases, one row per time; on uniform grids every row follows from
+the last by one complex multiply per node, so a component takes at most
+six exponentials per node whatever the numbers of x and t.  The region
+waves themselves (and so the scattering amplitudes) are evaluated once per
+component on the rule's seeded nodes and shared by the probes and the
+assembly; only a probe that splits panels makes them evaluate again.  That
+keeps dense space-time grids (needed for norm checks and
+the grid-solver comparison) tractable.
 """
 
 from __future__ import annotations
@@ -128,7 +134,11 @@ def _shared_rule(region, direction, x_probe, x_abs_max, taus, packet, potential,
 
     Seeded and refined at the largest time, then refined against the
     smallest (skipped when both are one time); each probe evaluates the
-    component at ``x_probe``.  Returns the rule and the probes' QuadResults.
+    component at ``x_probe``.  The tau-free integrand pieces
+    (``_region_coeffs`` at tau = 0) are evaluated once on the seeded nodes,
+    where both probes read them, and again only when a probe split panels.
+    Returns the rule, the probes' QuadResults and those pieces on the
+    rule's final nodes.
     """
     tau_hi, tau_lo = max(taus), min(taus)
     x_span = _x_phase_span(region, x_abs_max, packet)
@@ -136,15 +146,21 @@ def _shared_rule(region, direction, x_probe, x_abs_max, taus, packet, potential,
         packet, direction, potential.branch_energies(), tau_hi, x_span,
         _probe_spec(spec, packet),
     )
-    probes = [
-        rule.refine_against(
-            lambda u, tau=tau: wave_at(
-                _region_coeffs(region, direction, u, tau, packet, potential), x_probe
-            )
-        )
-        for tau in dict.fromkeys((tau_hi, tau_lo))
-    ]
-    return rule, probes
+
+    def waves_on(u):
+        return _region_coeffs(region, direction, u, 0.0, packet, potential)
+
+    def probe(u, waves, tau):
+        return np.exp(-1j * (u * u) * tau) * wave_at(waves, x_probe)
+
+    waves, probes = waves_on(rule.u), []
+    for tau in dict.fromkeys((tau_hi, tau_lo)):
+        probes.append(rule.refine_against(
+            lambda u, tau=tau: probe(u, waves_on(u), tau), probe(rule.u, waves, tau)
+        ))
+        if waves[0].size != rule.u.size:  # the probe split panels
+            waves = waves_on(rule.u)
+    return rule, probes, waves
 
 
 def _refined_rule(region, direction, x_probe, x_abs_max, tau, packet, potential, spec):
@@ -153,55 +169,105 @@ def _refined_rule(region, direction, x_probe, x_abs_max, tau, packet, potential,
     Returns the rule, the probe's QuadResult and the integrand pieces on the
     rule's final nodes.
     """
-    rule, (probe,) = _shared_rule(
+    rule, (probe,), (c_in, c_out, theta, xoff) = _shared_rule(
         region, direction, x_probe, x_abs_max, (tau,), packet, potential, spec
     )
-    return rule, probe, _region_coeffs(region, direction, rule.u, tau, packet, potential)
+    phase = np.exp(-1j * (rule.u * rule.u) * tau)
+    return rule, probe, (phase * c_in, None if c_out is None else phase * c_out, theta, xoff)
 
 
-def _grid_offsets(xs):
-    """Offsets (x_a, x_b) with xs[a * len(x_b) + b] = x_a[a] + x_b[b].
+def _uniform_step(xs, scale):
+    """Step h of an ascending uniform sequence xs_k = xs[0] + k h, else None.
 
-    An ascending uniform slice of at least 4 points (every CLI grid, and
-    every region slice of one) splits into about sqrt(n) offsets each, with
-    x_b >= 0 so that a decaying wave's B never exceeds 1; the deviation
-    allowed from exact steps keeps the phase error at round-off.  Any other
-    slice keeps one row per point and x_b = [0].
+    The points may deviate from the exact steps by the round-off of numbers
+    of size ``scale`` (that of the whole grid they were cut from), which
+    keeps the phase error of the recurrences at round-off.
     """
     n = xs.size
-    if n >= 4 and xs[-1] > xs[0]:
+    if n >= 2 and xs[-1] > xs[0]:
         h = (xs[-1] - xs[0]) / (n - 1)
         off_grid = np.max(np.abs(xs - (xs[0] + h * np.arange(n))))
-        if off_grid <= 8.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(xs)))):
-            n_b = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
-            n_a = -(-n // n_b)
-            return xs[0] + (n_b * h) * np.arange(n_a), h * np.arange(n_b)
-    return xs, np.zeros(1)
+        if off_grid <= 8.0 * np.finfo(float).eps * max(1.0, scale):
+            return h
+    return None
 
 
-def _plane_wave_sums(rule, waves, xs, taus):
+def _grid_offsets(xs, scale):
+    """Offsets (x_a, x_b) with xs[a * len(x_b) + b] = x_a[a] + x_b[b], and their steps.
+
+    An ascending uniform slice of at least 4 points (every CLI grid, and
+    every region slice of one, judged at the round-off ``scale`` of the
+    whole grid) splits into about sqrt(n) offsets each, with x_b >= 0 so
+    that a decaying wave's B never exceeds 1; the steps are then
+    (len(x_b) h, h) for the slice's exact step h.  Any other slice keeps
+    one row per point, x_b = [0] and steps (None, None).
+    """
+    h = _uniform_step(xs, scale) if xs.size >= 4 else None
+    if h is None:
+        return xs, np.zeros(1), (None, None)
+    n = xs.size
+    n_b = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
+    n_a = -(-n // n_b)
+    return xs[0] + (n_b * h) * np.arange(n_a), h * np.arange(n_b), (n_b * h, h)
+
+
+def _exp_rows(rate, xs, dx=None, inverse=False):
+    """Yield the rows e^{rate x}, x in ``xs``, in turn, each of shape (len(rate), 1).
+
+    With ``inverse`` each row has shape (len(rate), 2), e^{-rate x} beside
+    e^{rate x}.  With ``dx`` the xs step uniformly (xs_k = xs[0] + k dx up
+    to round-off) and the rows follow by recurrence: one exponential (and
+    reciprocal) for the first row and one for the step, then one complex
+    multiply per entry of each further row.  Without it every row takes
+    its own exponential.
+    """
+    def exp(z):
+        e = np.exp(z)
+        return np.stack([e, 1.0 / e], axis=-1) if inverse else e[:, None]
+
+    if dx is None:
+        for x in xs:
+            yield exp(rate * x)
+        return
+    row, step = exp(rate * xs[0]), exp(rate * dx)
+    yield row
+    for _ in range(len(xs) - 1):
+        row = row * step
+        yield row
+
+
+def _plane_wave_sums(rule, waves, xs, x_scale, taus):
     """Integrals of the component at every (time, x) of one region, shape (nt, nx).
 
     With x = x_a + x_b, each wave c e^{+-i theta xi} e^{-i tau u^2} is the
     product of a left factor c e^{-i tau u^2} A^{+-1}, one row per
     (time, x_a), and a right factor B^{+-1}, one column per x_b, where
-    A = e^{i theta (x_a - x_offset)} and B = e^{i theta x_b}: the
-    exponentials and divisions are per (x_a or x_b, node), and
+    A = e^{i theta (x_a - x_offset)} and B = e^{i theta x_b};
     ``SpectralRule.integrate_separable`` reduces the products over nodes.
-    Returns (values, per-panel error estimates).
+    On a uniform slice (``_grid_offsets`` at the grid's round-off
+    ``x_scale``) the tables and their inverses follow by recurrence
+    (``_exp_rows``), and on a uniform time grid so do the time phases, each
+    carried from the last time across row chunks: the component then takes
+    at most six exponentials per node (the first row and the step of A, B
+    and the time phase), whatever the numbers of x and t, and one complex
+    multiply per (table row or time, node, wave).  Returns (values,
+    per-panel error estimates).
     """
     c_in, c_out, theta, xoff = waves
-    x_a, x_b = _grid_offsets(xs)
-    coeffs = [c_in] if c_out is None else [c_in, c_out]
-    n_a, n_u, terms = x_a.size, theta.size, len(coeffs)
-    a_tabs = [np.exp(1j * np.multiply.outer(x_a - xoff, theta))]
+    inverse = c_out is not None
+    coeffs = np.stack([c_in, c_out], axis=-1) if inverse else c_in[:, None]
+    x_a, x_b, (dx_a, dx_b) = _grid_offsets(xs, x_scale)
+    n_a, (n_u, terms) = x_a.size, coeffs.shape
+    a_tab = np.empty((n_a, n_u, terms), dtype=complex)
+    for k, row in enumerate(_exp_rows(1j * theta, x_a - xoff, dx_a, inverse)):
+        a_tab[k] = row
     right = np.empty((n_u, terms, x_b.size), dtype=complex)
-    np.exp(1j * np.multiply.outer(theta, x_b), out=right[:, 0])
-    if c_out is not None:
-        a_tabs.append(1.0 / a_tabs[0])
-        np.divide(1.0, right[:, 0], out=right[:, 1])
+    for k, row in enumerate(_exp_rows(1j * theta, x_b, dx_b, inverse)):
+        right[..., k] = row
+    phases = _exp_rows(-1j * (rule.u * rule.u), taus,
+                       _uniform_step(taus, float(np.max(np.abs(taus)))))
+    it_phase = -1
     n_rows = taus.size * n_a
-    u2 = rule.u * rule.u
     chunk = max(1, int(_ENTRY_BUDGET // (n_u * terms + 2 * rule.n_panels * x_b.size)))
     psi = np.empty((n_rows, x_b.size), dtype=complex)
     err = np.empty((n_rows, x_b.size), dtype=float)
@@ -209,31 +275,28 @@ def _plane_wave_sums(rule, waves, xs, taus):
         r1 = min(n_rows, r0 + chunk)
         left = np.empty((r1 - r0, n_u, terms), dtype=complex)
         for it in range(r0 // n_a, (r1 - 1) // n_a + 1):
+            if it > it_phase:  # a time's rows may continue from the last chunk
+                it_phase, phased = it, coeffs * next(phases)
             lo, hi = max(r0, it * n_a), min(r1, (it + 1) * n_a)  # rows of time it
-            phase_t = np.exp(-1j * taus[it] * u2)
-            for s in range(terms):
-                np.multiply(
-                    coeffs[s] * phase_t, a_tabs[s][lo - it * n_a:hi - it * n_a],
-                    out=left[lo - r0:hi - r0, :, s],
-                )
+            np.multiply(phased, a_tab[lo - it * n_a:hi - it * n_a], out=left[lo - r0:hi - r0])
         psi[r0:r1], err[r0:r1] = rule.integrate_separable(left, right)
     shape = (taus.size, n_a * x_b.size)
     return psi.reshape(shape)[:, :xs.size], err.reshape(shape)[:, :xs.size]
 
 
-def _component(region, direction, xs, taus, packet, potential, spec):
+def _component(region, direction, xs, x_scale, taus, packet, potential, spec):
     """One spectral component for all x of a region at all times ``taus``.
 
-    Returns (psi values, error estimates), each of shape (nt, nx), and the
-    converged flag of both probes.
+    ``x_scale`` is the largest |x| of the whole grid.  Returns (psi values,
+    error estimates), each of shape (nt, nx), and the converged flag of
+    both probes.
     """
     x_probe = float(xs[np.argmax(np.abs(xs))])
-    rule, probes = _shared_rule(
+    rule, probes, waves = _shared_rule(
         region, direction, x_probe, abs(x_probe), taus, packet, potential, spec
     )
     # the time phase e^{-i tau u^2} is folded in per time by the assembly
-    waves = _region_coeffs(region, direction, rule.u, 0.0, packet, potential)
-    psi, err = _plane_wave_sums(rule, waves, xs, taus)
+    psi, err = _plane_wave_sums(rule, waves, xs, x_scale, taus)
     return psi, err, all(p.converged for p in probes)
 
 
@@ -264,12 +327,13 @@ def evolve(
     conv = np.ones((t.size, x.size), dtype=bool)
 
     taus = t - packet.t0_tilde
+    x_scale = float(np.max(np.abs(x))) if x.size else 0.0
     for region, mask in _region_masks(x).items():
         if not (np.any(mask) and t.size):
             continue
         for direction, target in (("forward", psi_fwd), ("backward", psi_bwd)):
             vals, errs, ok = _component(
-                region, direction, x[mask], taus, packet, potential, quad
+                region, direction, x[mask], x_scale, taus, packet, potential, quad
             )
             target[:, mask] = pref * vals
             err[:, mask] += abs(pref) * errs

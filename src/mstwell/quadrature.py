@@ -201,18 +201,23 @@ def _kronrod_sums(fv, half, graded):
     return vals, errs
 
 
-def _panel_eval(g, a, b, u_breaks):
-    """Evaluate one batch of panels; returns per-panel (value, error).
+def _panel_sums(fv, half, graded):
+    """Per-panel (value, error) from integrand values on every panel's nodes.
 
-    ``g`` returns shape (n,) or (n, C) on n nodes; the results are then
+    ``fv`` has shape (n,) or (n, C), n = 15 per panel; the results are then
     (panels,) or (panels, C).
     """
-    graded = _graded(a, b, u_breaks)
-    u, half = _kronrod_nodes(a, b, graded)
-    fv = np.asarray(g(u.ravel()), dtype=np.complex128)
-    fv = np.moveaxis(fv.reshape(u.shape + fv.shape[1:]), (0, 1), (-2, -1))
+    fv = np.asarray(fv, dtype=np.complex128)
+    fv = np.moveaxis(fv.reshape((half.size, 15) + fv.shape[1:]), (0, 1), (-2, -1))
     vals, errs = _kronrod_sums(fv, half, graded)
     return np.moveaxis(vals, -1, 0), np.moveaxis(errs, -1, 0)
+
+
+def _panel_eval(g, a, b, u_breaks):
+    """Evaluate ``g`` on one batch of panels; returns per-panel (value, error)."""
+    graded = _graded(a, b, u_breaks)
+    u, half = _kronrod_nodes(a, b, graded)
+    return _panel_sums(g(u.ravel()), half, graded)
 
 
 def _compensated_sum(vals):
@@ -231,20 +236,23 @@ def _totals(vals, errs):
     return total, np.array([np.sum(e) for e in errs.T])
 
 
-def adaptive_panels(g, edges, spec: QuadratureSpec, u_breaks=()):
+def adaptive_panels(g, edges, spec: QuadratureSpec, u_breaks=(), first=None):
     """Adaptive Gauss-Kronrod refinement of an initial panel set for integrand ``g(u)``.
 
-    Panels with an edge in ``u_breaks`` are graded.  Returns (QuadResult,
-    final_edges), as ``_refine_panels`` gives them.
+    Panels with an edge in ``u_breaks`` are graded.  ``first``, when given,
+    is the per-panel (value, error) of the initial panels, as
+    ``_panel_sums`` gives them.  Returns (QuadResult, final_edges), as
+    ``_refine_panels`` gives them.
     """
-    return _refine_panels(lambda a, b: _panel_eval(g, a, b, u_breaks), edges, spec)
+    return _refine_panels(lambda a, b: _panel_eval(g, a, b, u_breaks), edges, spec, first)
 
 
-def _refine_panels(panel_eval, edges, spec: QuadratureSpec):
+def _refine_panels(panel_eval, edges, spec: QuadratureSpec, first=None):
     """Adaptive refinement of an initial panel set under a per-panel rule.
 
     ``panel_eval(a, b)`` returns the (value, error) of every panel [a, b],
-    each of shape (panels,) or, for C components, (panels, C).  Returns
+    each of shape (panels,) or, for C components, (panels, C); ``first``,
+    when given, stands in for its call on the initial panels.  Returns
     (QuadResult, final_edges); a vector integrand gets arrays of C values
     and estimates.  Each component has its own target
     max(rel_tol |total_c|, abs_tol); refinement halves every panel whose
@@ -256,7 +264,7 @@ def _refine_panels(panel_eval, edges, spec: QuadratureSpec):
     edges = np.asarray(edges, dtype=float)
     if edges.size < 2 or np.all(edges[1:] <= edges[:-1]):
         return QuadResult(0.0 + 0.0j, 0.0, 0, True), edges
-    vals, errs = panel_eval(edges[:-1], edges[1:])
+    vals, errs = panel_eval(edges[:-1], edges[1:]) if first is None else first
     vector = vals.ndim > 1
     vals, errs = _columns(vals), _columns(errs)
 
@@ -326,13 +334,16 @@ class SpectralRule:
         self.u = u.ravel()
         self.n_panels = self._half.size
 
-    def refine_against(self, probe_g):
+    def refine_against(self, probe_g, fv=None):
         """Adaptively refine the edges until ``probe_g`` converges.
 
-        ``probe_g`` may return one value per node or a row of C; returns the
-        probe QuadResult, and nodes are rebuilt on the final edges.
+        ``probe_g`` may return one value per node or a row of C.  ``fv``,
+        when given, holds its values on the current nodes ``self.u``, which
+        then take the place of its first call.  Returns the probe
+        QuadResult, and nodes are rebuilt on the final edges.
         """
-        result, edges = adaptive_panels(probe_g, self.edges, self.spec, self.u_breaks)
+        first = None if fv is None else _panel_sums(fv, self._half, self._graded)
+        result, edges = adaptive_panels(probe_g, self.edges, self.spec, self.u_breaks, first)
         self.edges = edges
         self._build()
         return result

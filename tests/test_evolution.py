@@ -19,8 +19,9 @@ from mstwell import (
     stationary_density,
     wave_at,
 )
-from mstwell import evolution
+from mstwell import evolution, scattering
 from mstwell.evolution import (
+    _exp_rows,
     _grid_offsets,
     _refined_rule,
     _region_coeffs,
@@ -132,7 +133,7 @@ def _assert_matches_per_point_sums(field, packet, pot, quad=None):
             continue
         x_probe = float(xs[np.argmax(np.abs(xs))])
         for direction, psi in (("forward", field.psi_fwd), ("backward", field.psi_bwd)):
-            rule, _ = _shared_rule(
+            rule, _, _ = _shared_rule(
                 region, direction, x_probe, abs(x_probe), taus, packet, pot, quad
             )
             for it, tau in enumerate(taus):
@@ -157,7 +158,7 @@ class TestFactoredAssembly:
         x = np.linspace(-3.0, 4.0, 71)
         field = evolve(PACKET, pot, x, [0.45])
         for xs in (x[m] for m in _region_masks(x).values()):
-            assert _grid_offsets(xs)[1].size > 1  # every region factored
+            assert _grid_offsets(xs, 4.0)[1].size > 1  # every region factored
         _assert_matches_per_point_sums(field, PACKET, pot)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -171,12 +172,27 @@ class TestFactoredAssembly:
 
     def test_grid_offsets(self):
         x = np.linspace(-2.0, 3.0, 11)
-        x_a, x_b = _grid_offsets(x)
+        x_a, x_b, steps = _grid_offsets(x, 3.0)
         assert (x_a.size, x_b.size) == (3, 4)
+        assert steps == (4 * 0.5, 0.5)
         np.testing.assert_allclose(np.add.outer(x_a, x_b).ravel()[:11], x, atol=1e-15)
         for xs in (x[:3], x[[0, 1, 2, 4]], x[::-1]):  # too short, not uniform, descending
-            x_a, x_b = _grid_offsets(xs)
+            x_a, x_b, steps = _grid_offsets(xs, 3.0)
             assert np.array_equal(x_a, xs) and np.array_equal(x_b, [0.0])
+            assert steps == (None, None)
+        # inside slices of grids reaching far from the profile carry the
+        # round-off of the far end: judged at the whole grid's scale they
+        # factor, judged at their own max |x| = 1 they would not
+        for lo, hi, n, rows in ((-18.0, 10.0, 281, 11), (-40.0, 60.0, 3001, 31)):
+            grid = np.linspace(lo, hi, n)
+            inside = grid[_region_masks(grid)["inside"]]
+            assert inside.size == rows
+            x_a, x_b, _ = _grid_offsets(inside, float(np.max(np.abs(grid))))
+            assert x_b.size > 1
+            np.testing.assert_allclose(
+                np.add.outer(x_a, x_b).ravel()[:rows], inside, rtol=0.0, atol=1e-14
+            )
+            assert _grid_offsets(inside, 1.0)[1].size == 1
 
     def test_times_share_one_rule(self):
         pot = PotentialSpec(-100.0, 0.0)
@@ -216,9 +232,9 @@ class TestFactoredAssembly:
 
         def failing_probe(nth):
             # the nth probe of every rule reports non-convergence
-            def probe(self, probe_g):
+            def probe(self, probe_g, fv=None):
                 self.probes_seen = getattr(self, "probes_seen", 0) + 1
-                result = refine(self, probe_g)
+                result = refine(self, probe_g, fv)
                 return replace(result, converged=result.converged and self.probes_seen != nth)
             return probe
 
@@ -227,6 +243,94 @@ class TestFactoredAssembly:
             monkeypatch.setattr(SpectralRule, "refine_against", failing_probe(nth))
             field = evolve(PACKET, pot, x, times)
             assert np.all(field.converged == expected), (nth, times)
+
+
+def _count_refinements(monkeypatch):
+    """Record, per probe, whether it split panels of its rule."""
+    refine = SpectralRule.refine_against
+    splits = []
+
+    def recording(self, probe_g, fv=None):
+        before = self.n_panels
+        result = refine(self, probe_g, fv)
+        splits.append(self.n_panels > before)
+        return result
+
+    monkeypatch.setattr(SpectralRule, "refine_against", recording)
+    return splits
+
+
+def _count_amplitude_tables(monkeypatch):
+    """Record the number of energies of every amplitude_table call."""
+    table = scattering.amplitude_table
+    energies = []
+
+    def counting(e, potential):
+        energies.append(np.size(e))
+        return table(e, potential)
+
+    monkeypatch.setattr(scattering, "amplitude_table", counting)
+    return energies
+
+
+class TestAmplitudesOncePerComponent:
+    """The region waves of the probes' seeded nodes serve the assembly too."""
+
+    WELL = PotentialSpec(-100.0, 0.0)
+
+    def test_unrefined_slice_evaluates_amplitudes_once(self, monkeypatch):
+        splits = _count_refinements(monkeypatch)
+        energies = _count_amplitude_tables(monkeypatch)
+        quad = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-10, window_w=5.0)
+        evolve(PACKET, self.WELL, np.linspace(-18.0, 10.0, 281), [0.25], quad)
+        assert splits == [False] * 6  # one probe per (region, direction), none split
+        assert len(energies) == 6
+
+    def test_refined_rules_match_per_point_sums(self, monkeypatch):
+        # panels seeded at 8 pi of phase each are split by the first probe,
+        # so the second probe and the assembly re-evaluate the waves
+        splits = _count_refinements(monkeypatch)
+        energies = _count_amplitude_tables(monkeypatch)
+        quad = QuadratureSpec(phase_per_panel=8.0 * math.pi)
+        x = np.linspace(-3.0, 4.0, 36)
+        field = evolve(PACKET, self.WELL, x, [0.3, 0.5], quad)
+        assert splits[0::2] == [True] * 6
+        assert len(energies) > 6
+        _assert_matches_per_point_sums(field, PACKET, self.WELL, quad)
+
+
+class TestExpRows:
+    """Rows e^{rate x} by recurrence against one exponential per row."""
+
+    EPS = np.finfo(float).eps
+    U = np.linspace(0.0, 60.0, 241)
+    THETAS = {
+        "real": U,
+        # inner wave number below a level of 200: imaginary for u < 14.1
+        "evanescent": scattering.branch_sqrt(U * U - 200.0),
+    }
+
+    @pytest.mark.parametrize("kind", list(THETAS))
+    @pytest.mark.parametrize("rows", [1, 2, 5, 13, 20])
+    def test_recurrence_matches_direct_exp(self, kind, rows):
+        theta = self.THETAS[kind]
+        dx = 0.1 * 14  # a factored row step; rows reach 18 - 26.6 = -8.6
+        xs = 18.0 - dx * rows + dx * np.arange(rows)
+        direct = np.exp(1j * np.multiply.outer(xs, theta))
+        scale = max(1.0, float(np.max(np.abs(np.multiply.outer(xs, theta)))))
+        for inverse, ref in ((False, direct[..., None]),
+                             (True, np.stack([direct, 1.0 / direct], axis=-1))):
+            table = np.array(list(_exp_rows(1j * theta, xs, dx, inverse)))
+            assert table.shape == ref.shape
+            assert np.all(np.abs(table - ref) <= 4.0 * rows * self.EPS * scale * np.abs(ref))
+
+    def test_nonuniform_rows_take_direct_exp(self):
+        theta = self.THETAS["evanescent"]
+        xs = np.array([-3.0, -0.25, 0.5, 4.0])
+        direct = np.exp(1j * np.multiply.outer(xs, theta))
+        table = np.array(list(_exp_rows(1j * theta, xs, inverse=True)))
+        np.testing.assert_allclose(table[..., 0], direct, rtol=self.EPS, atol=0.0)
+        np.testing.assert_allclose(table[..., 1], 1.0 / direct, rtol=self.EPS, atol=0.0)
 
 
 class TestPsiPoint:

@@ -259,10 +259,9 @@ def _density_lines(cfg, potential, packet, quad):
 
 
 def cmd_density(cfg):
-    _, packet, quad = _build_objects(cfg)
+    potential, packet, quad = _build_objects(cfg)
     sweep_key = cfg.get("sweep.key", "")
     if not sweep_key:
-        potential, _, _ = _build_objects(cfg)
         lines, code = _density_lines(cfg, potential, packet, quad)
         _emit(lines, cfg)
         return code

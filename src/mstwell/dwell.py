@@ -36,7 +36,7 @@ _G_SERIES = [1.0 / math.factorial(2 * n + 3) for n in range(8, -1, -1)]
 
 
 def _g(z):
-    """(z - sin z)/z^3 for complex z, by its series where it cancels (|z| < 1)."""
+    """(z - sin z)/z^3, by its series where it cancels (|z| < 1)."""
     small = np.abs(z) < 1.0
     zs = np.where(small, 1.0, z)
     series = np.polyval(_G_SERIES, -z * z)
@@ -57,10 +57,10 @@ def _exit_side(u, potential: PotentialSpec):
     kappa = ku.imag
     evanescent = kappa > 0
     # propagating (or k_u = 0): the plain integrals, entire in k_u^2
-    kp = np.where(evanescent, 0.0, ku)
-    cc = 0.5 * (1.0 + np.sinc(2.0 * kp / np.pi).real)
-    ss = 2.0 * _g(2.0 * kp).real
-    cs = 0.5 * np.sinc(kp / np.pi).real ** 2
+    kp = np.where(evanescent, 0.0, ku.real)
+    cc = 0.5 * (1.0 + np.sinc(2.0 * kp / np.pi))
+    ss = 2.0 * _g(2.0 * kp)
+    cs = 0.5 * np.sinc(kp / np.pi) ** 2
     if np.any(evanescent):
         # with decay = e^{-2 kappa} and h = e^{-kappa} sinh(kappa)/kappa = (1 - decay)/(2 kappa)
         k = np.where(evanescent, kappa, 1.0)

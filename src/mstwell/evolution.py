@@ -85,12 +85,13 @@ def _region_masks(x):
     }
 
 
-def _region_coeffs(region, direction, u, tau, packet: PacketSpec, potential: PotentialSpec):
-    """x-independent integrand pieces: (c_in, c_out, theta, x_offset).
+def _region_coeffs(region, direction, u, packet: PacketSpec, potential: PotentialSpec):
+    """x- and tau-independent integrand pieces: (c_in, c_out, theta, x_offset).
 
     The region wave of ``region_waves`` (conjugated for the backward
-    direction) times the Gaussian weight, the x_i phase, the time phase and
-    the u-substitution Jacobian; evaluate at x with ``wave_at``.
+    direction) times the Gaussian weight, the x_i phase and the
+    u-substitution Jacobian; evaluate at x with ``wave_at`` and multiply by
+    the time phase e^{-i tau u^2}.
     """
     c_in, c_out, theta, xoff = region_waves(region, u, potential)
     weight = gaussian_weight(u, packet, direction)
@@ -100,7 +101,7 @@ def _region_coeffs(region, direction, u, tau, packet: PacketSpec, potential: Pot
         c_in, theta = np.conj(c_in), -np.conj(theta)
         c_out = None if c_out is None else np.conj(c_out)
         phase_i = np.exp(1j * u * packet.x_i_tilde)
-    base = 2.0 * np.exp(-1j * u * u * tau) * weight * phase_i  # 2u du / u = 2 du
+    base = 2.0 * weight * phase_i  # 2u du / u = 2 du
     return base * c_in, None if c_out is None else base * c_out, theta, xoff
 
 
@@ -134,11 +135,11 @@ def _shared_rule(region, direction, x_probe, x_abs_max, taus, packet, potential,
 
     Seeded and refined at the largest time, then refined against the
     smallest (skipped when both are one time); each probe evaluates the
-    component at ``x_probe``.  The tau-free integrand pieces
-    (``_region_coeffs`` at tau = 0) are evaluated once on the seeded nodes,
-    where both probes read them, and again only when a probe split panels.
+    component at ``x_probe``.  The integrand pieces of ``_region_coeffs``
+    are evaluated once on the seeded nodes, where both probes read them
+    with their time phase, and again only when a probe split panels.
     Returns the rule, the probes' QuadResults and those pieces on the
-    rule's final nodes.
+    rule's final nodes, for ``_plane_wave_sums`` to assemble.
     """
     tau_hi, tau_lo = max(taus), min(taus)
     x_span = _x_phase_span(region, x_abs_max, packet)
@@ -148,7 +149,7 @@ def _shared_rule(region, direction, x_probe, x_abs_max, taus, packet, potential,
     )
 
     def waves_on(u):
-        return _region_coeffs(region, direction, u, 0.0, packet, potential)
+        return _region_coeffs(region, direction, u, packet, potential)
 
     def probe(u, waves, tau):
         return np.exp(-1j * (u * u) * tau) * wave_at(waves, x_probe)
@@ -161,19 +162,6 @@ def _shared_rule(region, direction, x_probe, x_abs_max, taus, packet, potential,
         if waves[0].size != rule.u.size:  # the probe split panels
             waves = waves_on(rule.u)
     return rule, probes, waves
-
-
-def _refined_rule(region, direction, x_probe, x_abs_max, tau, packet, potential, spec):
-    """Rule of one (region, direction) component at one time, refined at ``x_probe``.
-
-    Returns the rule, the probe's QuadResult and the integrand pieces on the
-    rule's final nodes.
-    """
-    rule, (probe,), (c_in, c_out, theta, xoff) = _shared_rule(
-        region, direction, x_probe, x_abs_max, (tau,), packet, potential, spec
-    )
-    phase = np.exp(-1j * (rule.u * rule.u) * tau)
-    return rule, probe, (phase * c_in, None if c_out is None else phase * c_out, theta, xoff)
 
 
 def _uniform_step(xs, scale):
@@ -346,10 +334,11 @@ def evolve(
 def psi_point(packet, potential, x, t, region, quad=None):
     """Wave function and its x-derivative at one point, with a forced region.
 
-    The derivative is taken under the integral (the slope of the region
-    wave is i theta (c_in e^{i theta xi} - c_out e^{-i theta xi})), which
-    keeps its accuracy at quadrature level; finite differences of the
-    assembled psi would cancel catastrophically.  Forcing
+    The derivative is taken under the integral: the slope of the region
+    wave, i theta (c_in e^{i theta xi} - c_out e^{-i theta xi}), is a
+    second coefficient set on the value's rule, assembled as ``evolve``
+    assembles psi.  That keeps its accuracy at quadrature level; finite
+    differences of the assembled psi would cancel catastrophically.  Forcing
     the region lets interface continuity be checked from both sides.
     Raises QuadratureError with the achieved value and estimate when a
     component does not converge, and ValueError for t <= t0_tilde.
@@ -363,8 +352,8 @@ def psi_point(packet, potential, x, t, region, quad=None):
     psi = 0.0 + 0.0j
     dpsi = 0.0 + 0.0j
     for direction in ("forward", "backward"):
-        rule, val, (c_in, c_out, theta, xoff) = _refined_rule(
-            region, direction, x, abs(x) + 1.0, tau, packet, potential, quad
+        rule, (val,), (c_in, c_out, theta, xoff) = _shared_rule(
+            region, direction, x, abs(x) + 1.0, (tau,), packet, potential, quad
         )
         if not val.converged:
             raise QuadratureError(
@@ -375,9 +364,9 @@ def psi_point(packet, potential, x, t, region, quad=None):
             )
         i_theta = 1j * theta
         slope = (i_theta * c_in, None if c_out is None else -i_theta * c_out, theta, xoff)
-        dval, _ = rule.integrate_values(wave_at(slope, x))
+        dval, _ = _plane_wave_sums(rule, slope, np.array([x]), abs(x), np.array([tau]))
         psi += pref * val.value
-        dpsi += pref * dval
+        dpsi += pref * dval[0, 0]
     return psi, dpsi
 
 

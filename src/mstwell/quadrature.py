@@ -22,12 +22,14 @@ converges only algebraically; a panel with an edge at a break point is
 graded instead, its nodes placed by the smoothstep map (``SMOOTH``), which
 makes sqrt|u - u_b| analytic in the panel variable.  Splitting copies
 edges exactly, so the halves that keep the break point stay graded and
-the others become affine.  An integrand may return C values per node
-(shape (n, C)): each component then has its own total and target
-max(rel_tol |total_c|, abs_tol), a panel splits when any component needs
-it, and the result converges when every component does.
-``adaptive_panels`` totals panels with a
-correctly rounded sum (``math.fsum``), ``integrate_values`` and
+the others become affine.  ``_panel_rule`` alone makes that choice: it
+gives each panel its nodes and one weight table (the Kronrod and the
+Kronrod - Gauss weights times the half-width), against which every panel
+sum reduces.  An integrand may return C values per node (shape (n, C)):
+each component then has its own total and target max(rel_tol |total_c|,
+abs_tol), a panel splits when any component needs it, and the result
+converges when every component does.  ``adaptive_panels`` totals panels
+with a correctly rounded sum (``math.fsum``), ``integrate_values`` and
 ``integrate_separable`` with ``np.add.reduce`` in a fixed order, so results
 are bit-identical for identical inputs.
 
@@ -90,6 +92,9 @@ _S = 0.5 * (1.0 + XGK)
 SMOOTH = _S * _S * (3.0 - 2.0 * _S)
 WGK_GRADED = WGK * 6.0 * _S * (1.0 - _S)
 WERR_GRADED = WERR * 6.0 * _S * (1.0 - _S)
+# (Kronrod, Kronrod - Gauss) weight columns of the affine and graded panels
+_AFFINE = np.stack([WGK, WERR], axis=-1)
+_GRADED = np.stack([WGK_GRADED, WERR_GRADED], axis=-1)
 
 # Added by ``SpectralRule`` to every integrand's x-driven phase rate for the
 # amplitudes' internal oscillation (the e^{2i k_u} round trip across the profile).
@@ -173,51 +178,32 @@ def phase_capped_edges(lo, hi, u_breaks, t_scale, x_span, phase_cap, max_panels)
     return np.concatenate(edges)
 
 
-def _graded(a, b, u_breaks):
-    """Panels [a, b] with an edge at a channel branch point (edges are exact copies)."""
-    return np.isin(a, u_breaks) | np.isin(b, u_breaks)
+def _panel_rule(a, b, u_breaks):
+    """Kronrod nodes of the panels [a, b], shape (panels, 15), and their weight table.
 
-
-def _kronrod_nodes(a, b, graded):
-    """Kronrod nodes of the panels [a, b], shape (panels, 15), and half-widths.
-
-    ``graded`` panels take the smoothstep map of ``SMOOTH``; the others the
-    affine one.
+    The table, shape (panels, 15, 2), holds the Kronrod weights and the
+    Kronrod - Gauss weights, each times the half-width.  Panels with an edge
+    in ``u_breaks`` (edges are exact copies) take the smoothstep map of
+    ``SMOOTH`` and its weights; the others the affine ones.
     """
     half = 0.5 * (b - a)
     u = (0.5 * (a + b))[:, None] + half[:, None] * XGK
-    if graded.any():
-        u[graded] = a[graded, None] + (b - a)[graded, None] * SMOOTH
-    return u, half
+    graded = np.isin(a, u_breaks) | np.isin(b, u_breaks)
+    u[graded] = a[graded, None] + (b - a)[graded, None] * SMOOTH
+    return u, half[:, None, None] * np.where(graded[:, None, None], _GRADED, _AFFINE)
 
 
-def _kronrod_sums(fv, half, graded):
-    """Per-panel (value, error) from integrand values of shape (..., panels, 15)."""
-    vals, errs = (fv @ WGK) * half, np.abs((fv @ WERR) * half)
-    if graded.any():
-        on = fv[..., graded, :]
-        vals[..., graded] = (on @ WGK_GRADED) * half[graded]
-        errs[..., graded] = np.abs((on @ WERR_GRADED) * half[graded])
-    return vals, errs
-
-
-def _panel_sums(fv, half, graded):
+def _panel_sums(fv, weights):
     """Per-panel (value, error) from integrand values on every panel's nodes.
 
-    ``fv`` has shape (n,) or (n, C), n = 15 per panel; the results are then
-    (panels,) or (panels, C).
+    ``fv`` has shape (n, ...), n = 15 per panel of the weight table
+    ``weights`` (as ``_panel_rule`` gives it); the results have shape
+    (panels, ...).
     """
-    fv = np.asarray(fv, dtype=np.complex128)
-    fv = np.moveaxis(fv.reshape((half.size, 15) + fv.shape[1:]), (0, 1), (-2, -1))
-    vals, errs = _kronrod_sums(fv, half, graded)
-    return np.moveaxis(vals, -1, 0), np.moveaxis(errs, -1, 0)
-
-
-def _panel_eval(g, a, b, u_breaks):
-    """Evaluate ``g`` on one batch of panels; returns per-panel (value, error)."""
-    graded = _graded(a, b, u_breaks)
-    u, half = _kronrod_nodes(a, b, graded)
-    return _panel_sums(g(u.ravel()), half, graded)
+    fv = np.asarray(fv)
+    shape = (len(weights),) + fv.shape[1:]
+    sums = np.matmul(fv.reshape(len(weights), 15, -1).transpose(0, 2, 1), weights)
+    return sums[..., 0].reshape(shape), np.abs(sums[..., 1]).reshape(shape)
 
 
 def _compensated_sum(vals):
@@ -244,7 +230,11 @@ def adaptive_panels(g, edges, spec: QuadratureSpec, u_breaks=(), first=None):
     ``_panel_sums`` gives them.  Returns (QuadResult, final_edges), as
     ``_refine_panels`` gives them.
     """
-    return _refine_panels(lambda a, b: _panel_eval(g, a, b, u_breaks), edges, spec, first)
+    def panel_eval(a, b):
+        u, weights = _panel_rule(a, b, u_breaks)
+        return _panel_sums(g(u.ravel()), weights)
+
+    return _refine_panels(panel_eval, edges, spec, first)
 
 
 def _refine_panels(panel_eval, edges, spec: QuadratureSpec, first=None):
@@ -309,13 +299,15 @@ def spectral_rule(packet, direction, branch_points, t_scale, x_span, spec) -> Sp
 
 
 class SpectralRule:
-    """Reusable node set for integrating many integrands over one window.
+    """Reusable nodes ``u`` and weight table ``weights`` for many integrands over one window.
 
     The time evolution evaluates the same energy window for every spatial
     point and time of a region; building the refined panel set once against
     probe integrands (the worst-phase point) and reusing its nodes keeps the
-    samples down to weighted sums, taken for all of them at once by
-    ``integrate_separable``.
+    samples down to sums against ``weights`` (shape (panels, 15, 2), as
+    ``_panel_rule`` gives it), taken for all of them at once by
+    ``integrate_separable``; ``integrate_values`` takes them one sample per
+    row, the reference the batched form is tested against.
     """
 
     def __init__(self, lo, hi, u_breaks, t_scale, x_span, spec: QuadratureSpec):
@@ -328,11 +320,9 @@ class SpectralRule:
         self._build()
 
     def _build(self):
-        a, b = self.edges[:-1], self.edges[1:]
-        self._graded = _graded(a, b, self.u_breaks)
-        u, self._half = _kronrod_nodes(a, b, self._graded)
+        u, self.weights = _panel_rule(self.edges[:-1], self.edges[1:], self.u_breaks)
         self.u = u.ravel()
-        self.n_panels = self._half.size
+        self.n_panels = len(self.weights)
 
     def refine_against(self, probe_g, fv=None):
         """Adaptively refine the edges until ``probe_g`` converges.
@@ -342,45 +332,39 @@ class SpectralRule:
         then take the place of its first call.  Returns the probe
         QuadResult, and nodes are rebuilt on the final edges.
         """
-        first = None if fv is None else _panel_sums(fv, self._half, self._graded)
+        first = None if fv is None else _panel_sums(fv, self.weights)
         result, edges = adaptive_panels(probe_g, self.edges, self.spec, self.u_breaks, first)
         self.edges = edges
         self._build()
         return result
 
     def integrate_values(self, fv):
-        """Integrate from integrand values on ``self.u`` (vectorized over rows).
+        """Integrate from integrand values on ``self.u``, one sample per row.
 
         ``fv`` has shape (..., len(u)); returns (value, error_estimate) with
-        the panel reduction in fixed ascending order.
+        the panel reduction in fixed ascending order.  This is the
+        per-sample reference that ``integrate_separable`` batches.
         """
-        shaped = fv.reshape(fv.shape[:-1] + (self.n_panels, 15))
-        vals, errs = _kronrod_sums(shaped, self._half, self._graded)
-        return np.add.reduce(vals, axis=-1), np.sum(errs, axis=-1)
+        vals, errs = _panel_sums(np.moveaxis(fv, -1, 0), self.weights)
+        return np.add.reduce(vals, axis=0), np.sum(errs, axis=0)
 
     def integrate_separable(self, left, right):
         """Integrate many sums of separable products from their factors on ``self.u``.
 
         Sample (r, c) integrates f_rc(u) = sum_s left[r, :, s] right[:, s, c],
         with ``left`` of shape (rows, len(u), S) and ``right`` of shape
-        (len(u), S, cols).  One stacked matrix product gives every sample's
-        Kronrod value and Kronrod - Gauss difference on every panel; returns
-        (value, error_estimate) of shape (rows, cols): the values summed
-        over panels in a fixed order and, as ``integrate_values`` gives it,
-        the error summed over panels of |Kronrod - Gauss|.
+        (len(u), S, cols).  The right factor takes both weight columns, and
+        one stacked matrix product gives every sample's Kronrod value and
+        Kronrod - Gauss difference on every panel; returns (value,
+        error_estimate) of shape (rows, cols), each summed over panels as
+        ``integrate_values`` sums them.
         """
         rows, _, terms = left.shape
         cols = right.shape[-1]
         panels = self.n_panels
         # panel p of the left factor is a strided view: no copy for matmul
         lhs = left.reshape(rows, panels, 15 * terms).transpose(1, 0, 2)
-        rhs = np.empty((panels, 15, terms, 2, cols), dtype=complex)
-        graded = self._graded
-        for w, (weights, graded_weights) in enumerate(((WGK, WGK_GRADED), (WERR, WERR_GRADED))):
-            scaled = self._half[:, None] * weights
-            scaled[graded] = self._half[graded, None] * graded_weights
-            np.multiply(right.reshape(panels, 15, terms, cols), scaled[:, :, None, None],
-                        out=rhs[:, :, :, w])
+        rhs = right.reshape(panels, 15, terms, 1, cols) * self.weights[:, :, None, :, None]
         out = np.matmul(lhs, rhs.reshape(panels, 15 * terms, 2 * cols))
         vals, errs = out[..., :cols], np.abs(out[..., cols:])
         return np.add.reduce(vals, axis=0), np.add.reduce(errs, axis=0)

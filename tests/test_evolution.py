@@ -23,8 +23,6 @@ from mstwell import evolution, scattering
 from mstwell.evolution import (
     _exp_rows,
     _grid_offsets,
-    _refined_rule,
-    _region_coeffs,
     _region_masks,
     _shared_rule,
     packet_prefactor,
@@ -96,18 +94,20 @@ class TestDenseReference:
         pot = PotentialSpec(10.0, 40.0)
         x = np.array([-1.5, -0.7, -0.1, 0.2, 0.5, 0.9, 1.1, 1.4, 2.0])
         t = 0.5
+        tau = t - PACKET.t0_tilde
         field = evolve(PACKET, pot, x, [t])
         pref = packet_prefactor(PACKET)
         for region, mask in _region_masks(x).items():
             xs = x[mask]
             x_probe = float(xs[np.argmax(np.abs(xs))])
             for direction, psi in (("forward", field.psi_fwd), ("backward", field.psi_bwd)):
-                rule, _, waves = _refined_rule(
-                    region, direction, x_probe, abs(x_probe), t - PACKET.t0_tilde,
+                rule, _, waves = _shared_rule(
+                    region, direction, x_probe, abs(x_probe), (tau,),
                     PACKET, pot, QuadratureSpec(),
                 )
+                phase = np.exp(-1j * (rule.u * rule.u) * tau)
                 for xv, value in zip(xs, psi[0, mask]):
-                    fv = wave_at(waves, xv)
+                    fv = phase * wave_at(waves, xv)
                     dense, _ = rule.integrate_values(fv)
                     mass, _ = rule.integrate_values(np.abs(fv))
                     assert abs(value - pref * dense) <= 1e-13 * abs(pref) * mass
@@ -133,13 +133,13 @@ def _assert_matches_per_point_sums(field, packet, pot, quad=None):
             continue
         x_probe = float(xs[np.argmax(np.abs(xs))])
         for direction, psi in (("forward", field.psi_fwd), ("backward", field.psi_bwd)):
-            rule, _, _ = _shared_rule(
+            rule, _, waves = _shared_rule(
                 region, direction, x_probe, abs(x_probe), taus, packet, pot, quad
             )
             for it, tau in enumerate(taus):
-                waves = _region_coeffs(region, direction, rule.u, tau, packet, pot)
+                phase = np.exp(-1j * (rule.u * rule.u) * tau)
                 for ix, xv in zip(np.flatnonzero(mask), xs):
-                    fv = wave_at(waves, xv)
+                    fv = phase * wave_at(waves, xv)
                     dense, err = rule.integrate_values(fv)
                     mass, _ = rule.integrate_values(np.abs(fv))
                     assert abs(psi[it, ix] - pref * dense) <= 1e-13 * abs(pref) * mass
@@ -365,6 +365,29 @@ class TestPsiPoint:
             psi_point(PACKET, self.POT, 0.5, 0.5, "inside", QuadratureSpec(max_panels=2))
         assert info.value.value is not None
         assert info.value.error_estimate > 0
+
+    def test_derivative_matches_per_point_sums(self):
+        # the slope is assembled as evolve assembles psi; the reference
+        # integrates the slope of the region wave from its values on the
+        # same rules, within round-off of the integral of |integrand| (see
+        # TestDenseReference), the two directions summed as psi_point sums them
+        t = 0.5
+        tau = t - PACKET.t0_tilde
+        pref = packet_prefactor(PACKET)
+        for region, x in (("left", -0.4), ("inside", 0.3), ("right", 1.2)):
+            _, dpsi = psi_point(PACKET, self.POT, x, t, region)
+            dense = mass = 0.0
+            for direction in ("forward", "backward"):
+                rule, _, (c_in, c_out, theta, xoff) = _shared_rule(
+                    region, direction, x, abs(x) + 1.0, (tau,), PACKET, self.POT,
+                    QuadratureSpec(),
+                )
+                d_out = None if c_out is None else -1j * theta * c_out
+                slope = (1j * theta * c_in, d_out, theta, xoff)
+                fv = np.exp(-1j * (rule.u * rule.u) * tau) * wave_at(slope, x)
+                dense += rule.integrate_values(fv)[0]
+                mass += rule.integrate_values(np.abs(fv))[0]
+            assert abs(dpsi - pref * dense) <= 1e-13 * abs(pref) * mass
 
     def test_derivative_consistent_with_values(self):
         h = 1e-5

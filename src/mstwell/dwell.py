@@ -21,7 +21,7 @@ the free flight time d / v(E_perp) = 1 / (2 sqrt(E_perp)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -143,13 +143,14 @@ def dwell_total(
     One rule over the backward window, which contains the forward one,
     seeded at the interference term's phase rate 2|x_i|, refines the three
     components as one vector integrand: each node costs one exit-side
-    evaluation, and each component meets its own target.
+    evaluation, and each component meets its own target.  The densities
+    carry the squared weights, so W/(sigma sqrt 2) keeps the tail e^{-W^2}.
     """
     if quad is None:
         quad = QuadratureSpec()
     rule = spectral_rule(
         packet, "backward", potential.branch_energies(), 0.0,
-        2.0 * abs(packet.x_i_tilde), quad,
+        2.0 * abs(packet.x_i_tilde), replace(quad, window_w=quad.window_w / math.sqrt(2.0)),
     )
     res = rule.refine_against(lambda u: _dwell_densities(u, packet, potential))
     fwd, bwd, interference = (float(v) for v in res.value.real)

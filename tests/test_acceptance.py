@@ -48,7 +48,7 @@ TIMES = (0.25, 0.5, 1.0)
 # relaxed rule for the wide-domain norm integrals: panel-level accuracy far
 # beyond 1e-3 is wasted there
 NORM_QUAD = QuadratureSpec(
-    rel_tol=1e-6, abs_tol=1e-10, window_w=5.0, phase_per_panel=2.0 * math.pi
+    rel_tol=1e-6, abs_tol=1e-10, window_w=5.0, phase_per_panel=4.0 * math.pi
 )
 
 

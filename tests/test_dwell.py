@@ -7,6 +7,7 @@ comparison does not share any code with the module under test.
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -369,13 +370,15 @@ class TestFusedComponents:
             assert abs(value - reference) <= 1e-8 * abs(reference) + 1e-12
 
     def test_one_missed_component_is_not_converged(self):
-        # on the seeded panels plus one round the forward and backward parts
-        # meet their targets and the interference part alone does not
+        # on a third of the panels the default seeds, the forward and backward
+        # parts meet their targets and the faster interference part alone does not
         packet, pot = PacketSpec(100.0, 0.1, -10.0), PotentialSpec(-500.0, 90.0)
+        window = QuadratureSpec().window_w / math.sqrt(2.0)  # dwell_total's window
         seeded = spectral_rule(packet, "backward", pot.branch_energies(), 0.0, 20.0,
-                               QuadratureSpec()).n_panels
-        quad = QuadratureSpec(max_panels=seeded + 2)
-        rule = spectral_rule(packet, "backward", pot.branch_energies(), 0.0, 20.0, quad)
+                               QuadratureSpec(window_w=window)).n_panels
+        quad = QuadratureSpec(max_panels=seeded // 3)
+        rule = spectral_rule(packet, "backward", pot.branch_energies(), 0.0, 20.0,
+                             replace(quad, window_w=window))
         probe = rule.refine_against(lambda u: _dwell_densities(u, packet, pot))
         missed = probe.error_estimate > np.maximum(1e-8 * np.abs(probe.value), 1e-12)
         assert missed.tolist() == [False, False, True]

@@ -287,11 +287,11 @@ class TestAmplitudesOncePerComponent:
         assert len(energies) == 6
 
     def test_refined_rules_match_per_point_sums(self, monkeypatch):
-        # panels seeded at 8 pi of phase each are split by the first probe,
+        # panels seeded at 32 pi of phase each are split by the first probe,
         # so the second probe and the assembly re-evaluate the waves
         splits = _count_refinements(monkeypatch)
         energies = _count_amplitude_tables(monkeypatch)
-        quad = QuadratureSpec(phase_per_panel=8.0 * math.pi)
+        quad = QuadratureSpec(phase_per_panel=32.0 * math.pi)
         x = np.linspace(-3.0, 4.0, 36)
         field = evolve(PACKET, self.WELL, x, [0.3, 0.5], quad)
         assert splits[0::2] == [True] * 6

@@ -195,7 +195,7 @@ LEVIN_CASES = [
 def test_levin_tail_matches_gauss_kronrod(potential, x, t):
     """The kernel's Levin tail on [u_c, u_far] against Gauss-Kronrod panels.
 
-    The reference takes 15-point Kronrod panels of pi/2 of phase each,
+    The reference takes 31-point Kronrod panels of pi/2 of phase each,
     whose truncation error is far below round-off, and no refinement: its
     Kronrod - Gauss estimate is dominated by the phases' round-off and
     would only drive it into the panel budget.  That round-off, eps of

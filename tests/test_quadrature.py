@@ -24,6 +24,54 @@ from mstwell.quadrature import (
 )
 
 
+def _laurie_kronrod(n):
+    """Nodes and weights of the (2n + 1)-point Kronrod extension of n-point Gauss-Legendre.
+
+    Laurie's algorithm (D. P. Laurie, Math. Comp. 66 (1997) 1133) completes
+    the Legendre recurrence coefficients (a, b) to the Jacobi-Kronrod
+    matrix, whose eigenvalues are the nodes and whose eigenvectors' first
+    components, squared times b_0 = 2, are the weights (Golub-Welsch).
+    Both are symmetrized, as the rule is.
+    """
+    a, b = np.zeros(2 * n + 1), np.zeros(2 * n + 1)
+    k = np.arange(1.0, (3 * n + 1) // 2 + 1)
+    b[0], b[1:k.size + 1] = 2.0, k * k / (4.0 * k * k - 1.0)
+    s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        s[k + 1] = np.cumsum(
+            (a[k + n + 1] - a[m - k]) * t[k + 1] + b[k + n + 1] * s[k] - b[m - k] * s[k + 1])
+        s, t = t, s
+    s[1:] = s[:-1].copy()
+    for m in range(n - 1, 2 * n - 2):
+        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        j = n - 1 - (m - k)
+        s[j + 1] = np.cumsum(
+            -(a[k + n + 1] - a[m - k]) * t[j + 1] - b[k + n + 1] * s[j + 1] + b[m - k] * s[j + 2])
+        j, k = j[-1], (m + 1) // 2
+        if m % 2 == 0:
+            a[k + n + 1] = a[k] + (s[j + 1] - b[k + n + 1] * s[j + 2]) / t[j + 2]
+        else:
+            b[k + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
+    off = np.sqrt(b[1:])
+    x, v = np.linalg.eigh(np.diag(a) + np.diag(off, 1) + np.diag(off, -1))
+    w = b[0] * v[0] ** 2
+    return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+
+
+# QUADPACK's 7/15 pair (qk15): its positive Kronrod nodes from 1 down, then
+# their Kronrod and Gauss weights, the center's last
+GK15_NODES = [0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
+              0.5860872354676911, 0.4058451513773972, 0.2077849550078985]
+GK15_WEIGHTS = [0.022935322010529224, 0.06309209262997856, 0.10479001032225019,
+                0.14065325971552592, 0.1690047266392679, 0.19035057806478542,
+                0.20443294007529889, 0.20948214108472782]
+G7_WEIGHTS = [0.1294849661688697, 0.2797053914892767, 0.3818300505051189, 0.4179591836734694]
+
+
 class TestRuleConstants:
     def test_weights_sum_to_interval(self):
         assert math.fsum(WGK) == pytest.approx(2.0, abs=1e-15)
@@ -33,25 +81,56 @@ class TestRuleConstants:
         assert np.all(np.diff(XGK) > 0)
         np.testing.assert_allclose(XGK, -XGK[::-1], atol=1e-15)
 
-    @pytest.mark.parametrize("degree", range(0, 23, 2))
+    @pytest.mark.parametrize("degree", range(0, 47, 2))
     def test_polynomial_exactness(self, degree):
-        # Kronrod 15-point rule integrates polynomials up to degree 22 exactly
+        # the 31-point Kronrod rule integrates polynomials up to degree 46 exactly
         exact = 2.0 / (degree + 1)
         approx = float(np.sum(WGK * XGK**degree))
         assert approx == pytest.approx(exact, rel=1e-13)
 
     def test_embedded_gauss_exactness(self):
-        # the embedded 7-point Gauss rule is exact up to degree 13
-        for degree in range(0, 14, 2):
+        # the embedded 15-point Gauss rule is exact up to degree 29
+        for degree in range(0, 30, 2):
             approx = float(np.sum(WG * XGK**degree))
             assert approx == pytest.approx(2.0 / (degree + 1), rel=1e-13)
+
+
+class TestKronrodTables:
+    """The literal tables against Laurie's algorithm, run here in numpy."""
+
+    def test_generator_reproduces_the_gk15_pair(self):
+        x, w = _laurie_kronrod(7)
+        np.testing.assert_allclose(x[:7], -np.array(GK15_NODES), rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(w[:8], GK15_WEIGHTS, rtol=0.0, atol=1e-15)
+        gauss_x, gauss_w = np.polynomial.legendre.leggauss(7)
+        np.testing.assert_allclose(x[1::2], gauss_x, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(gauss_w[:4], G7_WEIGHTS, rtol=0.0, atol=1e-15)
+
+    def test_literal_tables_match_the_generator(self):
+        x, w = _laurie_kronrod(15)
+        np.testing.assert_allclose(XGK, x, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(WGK, w, rtol=0.0, atol=1e-15)
+        assert np.all(WGK > 0.0) and np.all(WG[1::2] > 0.0)
+
+    def test_gauss_subset_is_gauss_legendre(self):
+        gauss_x, gauss_w = np.polynomial.legendre.leggauss(15)
+        np.testing.assert_allclose(XGK[1::2], gauss_x, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(WG[1::2], gauss_w, rtol=0.0, atol=1e-15)
+        assert np.all(WG[::2] == 0.0)
+
+    @pytest.mark.parametrize("n", [7, 15, 20, 30])
+    def test_weights_positive_and_exact_to_degree_3n_plus_1(self, n):
+        x, w = _laurie_kronrod(n)
+        assert np.all(w > 0.0) and np.all(np.diff(x) > 0.0) and -1.0 < x[0]
+        for degree in range(0, 3 * n + 2, 2):
+            assert float(np.sum(w * x**degree)) == pytest.approx(2.0 / (degree + 1), rel=1e-13)
 
 
 class TestSpec:
     def test_defaults(self):
         spec = QuadratureSpec()
         assert spec.window_w == 8.0
-        assert spec.phase_per_panel == pytest.approx(math.pi)
+        assert spec.phase_per_panel == pytest.approx(4.0 * math.pi)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -297,9 +376,9 @@ class TestGradedPanels:
     @pytest.mark.parametrize("rel_tol,rounds", [(1e-8, 0), (1e-10, 2)])
     def test_branch_integrands_converge_in_few_rounds(self, kind, b, rel_tol, rounds):
         # algebraic singularities at a break point, on both of its sides:
-        # affine panels ending there need 7-9 rounds of bisection at 1e-8 and
-        # 12-14 at 1e-10; graded ones none at 1e-8, and at 1e-10 one or two,
-        # as the embedded Gauss estimate of the seeded panel width allows
+        # affine panels ending there need 7-8 rounds of bisection at 1e-8 and
+        # 11-12 at 1e-10; graded ones none at either (a 7-point Gauss
+        # estimate took one or two at 1e-10, the bound kept here)
         lo, hi = 0.0, 6.0
         f, big_f = _channel_root(b) if kind == "channel" else _sqrt_kink(b)
         exact = big_f(hi) - big_f(lo)
@@ -318,6 +397,19 @@ class TestGradedPanels:
         # the rule's nodes give the same value
         value, _ = rule.integrate_values(np.asarray(f(rule.u), dtype=complex))
         assert value == pytest.approx(res.value, rel=1e-13)
+
+    def test_graded_panel_estimate_reaches_round_off(self):
+        # one graded panel ending on the branch point of sqrt(c^2 - u^2): the
+        # 15-point Gauss value follows the Kronrod one to round-off (the
+        # 7-point one stalled at 1.7e-9 of it), so nothing is split
+        c = 3.3
+        f, big_f = _channel_root(c)
+        rule = SpectralRule(2.2, c, [c], 0.0, 0.0, QuadratureSpec(rel_tol=1e-10, abs_tol=1e-300))
+        assert rule.n_panels == 1
+        value, err = rule.integrate_values(np.asarray(f(rule.u), dtype=complex))
+        assert err <= 1e-14 * abs(value)
+        assert abs(value - (big_f(c) - big_f(2.2))) <= 1e-14 * abs(value)
+        assert rule.refine_against(f).panels_used == 1
 
     def test_window_without_breaks_keeps_affine_nodes(self):
         # a rule whose window holds no break point has the plain Kronrod
@@ -347,7 +439,7 @@ class TestGradedPanels:
         assert rule.refine_against(spike).converged
         graded = np.isin(rule.edges[:-1], [1.7]) | np.isin(rule.edges[1:], [1.7])
         assert graded.sum() == 2
-        nodes = rule.u.reshape(-1, 15)
+        nodes = rule.u.reshape(-1, XGK.size)
         a, b = rule.edges[:-1], rule.edges[1:]
         np.testing.assert_array_equal(nodes[graded], a[graded, None] + (b - a)[graded, None] * SMOOTH)
         half = 0.5 * (b - a)

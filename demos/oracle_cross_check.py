@@ -2,8 +2,8 @@
 
 Runs the same scattering scenario through the semi-analytic spectral
 evolution and through an independent finite-difference solver (fourth-order
-unitary time stepping by the factored (2,2) Pade approximant of
-exp(-i H dt)), then reports the relative L2 distance between the two wave
+unitary time stepping by the (2,2) Pade approximant of exp(-i H dt), one
+banded LU solve per step), then reports the relative L2 distance between the two wave
 functions at a few sample times.  Uses a moderate-bandwidth packet on a
 short flight so the run finishes in well under a minute.
 

@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -366,6 +367,7 @@ def cmd_oracle_compare(cfg, scenario_name="custom"):
     return report, (EXIT_OK if passed else EXIT_COMPARISON)
 
 
+@functools.cache  # one parser per process: building it costs about a millisecond
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="mstwell",

@@ -10,9 +10,10 @@ their x integrals are real entire functions of k_u^2 = E - U, and one
 expression per quantity covers every regime and both branch points.  For
 k_u = i kappa the integrals' e^{2 kappa} growth is folded into |T|^2's
 e^{-2 kappa} decay, so deep barriers stay finite.  The packet dwell is one
-vector integral over u = sqrt(E): one ``spectral_rule`` over the backward
-window refines the forward, backward and interference densities together,
-with one exit-side evaluation per node for all three.
+vector integral over u = sqrt(E): one ``spectral_rule`` over the hull of
+the forward and backward windows refines the forward, backward and
+interference densities together, with one exit-side evaluation per node
+for all three.
 
 All times are in units of t_d; "relative" dwell values are normalized by
 the free flight time d / v(E_perp) = 1 / (2 sqrt(E_perp)).
@@ -140,8 +141,8 @@ def dwell_total(
 ) -> DwellBreakdown:
     """Integrate the three dwell components over the packet's spectrum.
 
-    One rule over the backward window, which contains the forward one,
-    seeded at the interference term's phase rate 2|x_i|, refines the three
+    One rule over the hull of the forward and backward windows, seeded at
+    the interference term's phase rate 2|x_i|, refines the three
     components as one vector integrand: each node costs one exit-side
     evaluation, and each component meets its own target.  The densities
     carry the squared weights, so W/(sigma sqrt 2) keeps the tail e^{-W^2}.
@@ -149,7 +150,7 @@ def dwell_total(
     if quad is None:
         quad = QuadratureSpec()
     rule = spectral_rule(
-        packet, "backward", potential.branch_energies(), 0.0,
+        packet, "both", potential.branch_energies(), 0.0,
         2.0 * abs(packet.x_i_tilde), replace(quad, window_w=quad.window_w / math.sqrt(2.0)),
     )
     res = rule.refine_against(lambda u: _dwell_densities(u, packet, potential))

@@ -256,7 +256,7 @@ def _plane_wave_sums(rule, waves, xs, x_scale, taus):
                        _uniform_step(taus, float(np.max(np.abs(taus)))))
     it_phase = -1
     n_rows = taus.size * n_a
-    chunk = max(1, int(_ENTRY_BUDGET // (n_u * terms + 2 * rule.n_panels * x_b.size)))
+    chunk = max(1, int(_ENTRY_BUDGET // max(1, n_u * terms + 2 * rule.n_panels * x_b.size)))
     psi = np.empty((n_rows, x_b.size), dtype=complex)
     err = np.empty((n_rows, x_b.size), dtype=float)
     for r0 in range(0, n_rows, chunk):

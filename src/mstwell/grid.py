@@ -2,13 +2,10 @@
 
 Independent of every analytic ingredient in this package: the packet is
 evolved on a hard-walled, over-sized domain by the (2,2) diagonal Pade
-approximant of exp(-i dt H) for the discretized Hamiltonian H, factored
-over its two complex-conjugate poles into two Cayley-like stages
-(Puzynin, Selin & Vinitsky, Comput. Phys. Commun. 123 (1999) 1).  Each
-stage, and so each step, is exactly unitary for a Hermitian discrete
-Hamiltonian, so norm drift is a sharp diagnostic of the linear algebra,
-not of the physics.  Each stage is one solve with the LAPACK banded LU of
-a pentadiagonal matrix.
+approximant of exp(-i dt H) for the discretized Hamiltonian H (Puzynin,
+Selin & Vinitsky, Comput. Phys. Commun. 123 (1999) 1): one banded LU
+solve per step, exactly unitary for a Hermitian discrete Hamiltonian, so
+norm drift is a sharp diagnostic of the linear algebra, not the physics.
 
 The Laplacian uses the 5-point fourth-order stencil.  With the second
 order stencil the dispersion error at the packet's upper spectral flank
@@ -182,48 +179,51 @@ def _potential_on_grid(potential: PotentialSpec, x: np.ndarray) -> np.ndarray:
     return v
 
 
-# poles of the (2,2) Pade approximant: 1 + z/2 + z^2/12 = (1 - z/Z1)(1 - z/Z2)
-_Z1 = complex(-3.0, math.sqrt(3.0))
-_Z2 = _Z1.conjugate()
+def _pade_denominator(d, a, b, dt):
+    """Q = 1 + z/2 + z^2/12, z = i dt H, in LAPACK band storage for gbtrf (kl = ku = 4).
+
+    H is symmetric with the diagonal ``d`` and the constant off-diagonals
+    ``a`` (at +-1) and ``b`` (at +-2), and so is Q.  The hard walls truncate
+    H^2: its end rows lose the terms H_ik H_kj through absent nodes k.
+    """
+    h2 = [d * d + 2.0 * (a * a + b * b), a * (d[:-1] + d[1:]) + 2.0 * a * b,
+          b * (d[:-2] + d[2:]) + a * a, 2.0 * a * b, b * b]
+    h2[0][[0, -1]] -= a * a + b * b
+    h2[0][[1, -2]] -= b * b
+    h2[1][[0, -1]] -= a * b
+    ab = np.zeros((13, d.size), dtype=complex)
+    for m, h in enumerate((d, a, b, 0.0, 0.0)):
+        ab[8 - m, m:] = ab[8 + m, :d.size - m] = (m == 0) + 0.5j * dt * h - dt * dt / 12 * h2[m]
+    return ab
 
 
 class _CayleyStepper:
-    """Factored (2,2) Pade step psi <- R(z) psi with z = i dt H,
+    """(2,2) Pade step psi <- R(z) psi, R(z) = Q(-z) / Q(z), with z = i dt H.
 
-        R(z) = (1 - z/2 + z^2/12) / (1 + z/2 + z^2/12)
-             = [(1 + z/Z2) (1 - z/Z1)^-1] [(1 + z/Z1) (1 - z/Z2)^-1].
-
-    Each bracket is a Cayley transform with a complex shift, unitary on its
-    own for Hermitian H, and is applied as
-    psi <- -(Za/Zb) psi + (1 + Za/Zb) (1 - z/Za)^-1 psi: one pentadiagonal
-    solve with the LAPACK banded LU factors of 1 - z/Za, built once here.
+    Since Q(-z) = Q(z) - z, a step is psi - Q(z)^-1 (z psi): z psi from H's
+    five diagonals, then one solve with the LAPACK banded LU (partial
+    pivoting) of Q, factored once here.  Q has real coefficients, so R is
+    exactly unitary for Hermitian H.
     """
 
     def __init__(self, v_grid, dx, dt):
-        n = v_grid.size
         inv = 1.0 / (dx * dx)
-        kl = ku = 2
+        d, a, b = 2.5 * inv + v_grid, -4.0 / 3.0 * inv, inv / 12.0
         gbtrf, self._gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), dtype=complex)
-        self._stages = []
-        for za, zb in ((_Z1, _Z2), (_Z2, _Z1)):
-            c = -1j * dt / za  # 1 - z/Za = 1 + c H
-            ab = np.zeros((2 * kl + ku + 1, n), dtype=complex)
-            ab[kl + ku, :] = 1.0 + c * (2.5 * inv + v_grid)
-            ab[kl + ku - 1, 1:] = ab[kl + ku + 1, :-1] = c * (-4.0 / 3.0 * inv)
-            ab[kl + ku - 2, 2:] = ab[kl + ku + 2, :-2] = c * (1.0 / 12.0 * inv)
-            lu, piv, info = gbtrf(ab, kl, ku)
-            if info != 0:
-                raise RuntimeError(f"banded LU factorization failed (info={info})")
-            ratio = za / zb
-            self._stages.append((lu, piv, -ratio, 1.0 + ratio))
+        self._lu, self._piv, info = gbtrf(_pade_denominator(d, a, b, dt), 4, 4)
+        if info != 0:
+            raise RuntimeError(f"banded LU factorization failed (info={info})")
+        self._zd, self._zoff = 1j * dt * d, ((1, 1j * dt * a), (2, 1j * dt * b))
 
     def step(self, psi):
-        for lu, piv, keep, mix in self._stages:
-            out, info = self._gbtrs(lu, 2, 2, psi, piv)
-            if info != 0:
-                raise RuntimeError(f"banded solve failed (info={info})")
-            psi = keep * psi + mix * out
-        return psi
+        zpsi = self._zd * psi
+        for k, c in self._zoff:
+            zpsi[:-k] += c * psi[k:]
+            zpsi[k:] += c * psi[:-k]
+        y, info = self._gbtrs(self._lu, 4, 4, zpsi, self._piv, overwrite_b=1)
+        if info != 0:
+            raise RuntimeError(f"banded solve failed (info={info})")
+        return psi - y
 
 
 def evolve_grid(
@@ -235,7 +235,7 @@ def evolve_grid(
     """Fourth-order unitary evolution of the cutoff packet, sampled at t_samples.
 
     Sample times are hit exactly: each inter-sample gap is stepped with
-    dt' = gap / ceil(gap / dt) and its own factorizations.
+    dt' = gap / ceil(gap / dt) and its own factorization.
     """
     t_samples = np.asarray(t_samples, dtype=float)
     if t_samples.size == 0 or np.any(np.diff(t_samples) <= 0):

@@ -6,9 +6,10 @@ weight centered at sqrt(E) = sqrt(E_perp).  Each is written over
 u = sqrt(E), with dE = 2u du in the integrand; that removes the integrable
 1/sqrt(E) endpoint singularity and turns the weights into plain Gaussians
 in u, after which the integral is effectively compact: the forward weight is truncated to
-u in [max(0, u_perp - W/sigma), u_perp + W/sigma] and the backward weight
-to u in [0, u_perp + W/sigma] (tail mass e^{-W^2} < 1e-27 at the default
-W = 8).
+u in [max(0, u_perp - W/sigma), u_perp + W/sigma] and the backward weight,
+centered at u = -u_perp, to u in [0, max(0, W/sigma - u_perp)] (tail mass
+e^{-W^2} < 1e-27 at the default W = 8).  An empty window has no panels,
+and every sum over it is an exact 0.
 
 Panels are seeded at equal phase: each segment between channel branch
 points (always panel edges) gets the fewest panels of equal rise of the
@@ -157,17 +158,20 @@ class QuadResult:
 
 
 def spectral_window(u_perp, sigma_tilde, direction, window_w):
-    """Truncated u-range carrying all but e^{-W^2} of the Gaussian weight."""
+    """Truncated u-range carrying all but e^{-W^2} of the Gaussian weight.
+
+    ``direction`` is "forward", "backward", or "both" for the hull of the two.
+    """
     half = window_w / sigma_tilde
-    hi = u_perp + half
     if direction == "forward":
-        lo = max(0.0, u_perp - half)
-    elif direction == "backward":
-        # weight is centered at u = -u_perp; only the u > 0 flank survives
-        lo = 0.0
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    return lo, hi
+        return max(0.0, u_perp - half), u_perp + half
+    if direction == "backward":
+        # weight is centered at u = -u_perp; only its u > 0 flank survives,
+        # empty when u_perp >= W/sigma
+        return 0.0, max(0.0, half - u_perp)
+    if direction == "both":
+        return 0.0, u_perp + half
+    raise ValueError(f"unknown direction {direction!r}")
 
 
 def phase_capped_edges(lo, hi, u_breaks, t_scale, x_span, phase_cap, max_panels):
@@ -176,9 +180,10 @@ def phase_capped_edges(lo, hi, u_breaks, t_scale, x_span, phase_cap, max_panels)
     Each segment [a, b] gets n = max(1, ceil((phi(b) - phi(a)) / phase_cap))
     panels of equal rise of phi(u) = |t_scale| u^2 + |x_span| u, increasing on
     u >= 0; counts over ``max_panels`` in total are scaled down to the budget.
+    An empty range (hi <= lo) has no panels.
     """
     if hi <= lo:
-        return np.array([lo, hi])
+        return np.array([lo])
     cuts = sorted({lo, hi, *(float(ub) for ub in u_breaks if lo < ub < hi)})
     t, s = abs(t_scale), abs(x_span)
 
@@ -225,7 +230,8 @@ def _panel_sums(fv, weights):
     """
     fv = np.asarray(fv)
     shape = (len(weights),) + fv.shape[1:]
-    sums = np.matmul(fv.reshape(len(weights), XGK.size, -1).transpose(0, 2, 1), weights)
+    per_panel = fv.reshape(len(weights), XGK.size, math.prod(fv.shape[1:]))
+    sums = np.matmul(per_panel.transpose(0, 2, 1), weights)
     return sums[..., 0].reshape(shape), np.abs(sums[..., 1]).reshape(shape)
 
 

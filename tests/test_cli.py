@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from mstwell import PotentialSpec, probabilities
-from mstwell.cli import ConfigError, main, merge_config, parse_config_text
+from mstwell.cli import ConfigError, _build_parser, main, merge_config, parse_config_text
 
 # cheap oracle scenario shared by the comparison tests
 CHEAP = [
@@ -76,6 +76,26 @@ class TestExitCodes:
             capture_output=True, text=True,
         )
         assert out.returncode == 0
+
+
+class TestParser:
+    def test_built_once_and_calls_share_no_state(self, tmp_path):
+        assert _build_parser() is _build_parser()
+        first = _build_parser().parse_args(["dwell", "--set", "a=1", "--set", "b=2"])
+        second = _build_parser().parse_args(["amplitudes", "--set", "c=3", "-o", "x.csv"])
+        third = _build_parser().parse_args(["density"])
+        assert (first.command, first.set, first.output) == ("dwell", ["a=1", "b=2"], None)
+        assert (second.command, second.set, second.output) == ("amplitudes", ["c=3"], "x.csv")
+        assert (third.command, third.set, third.output) == ("density", [], None)
+        # main after main: each output carries only its own --set list
+        paths = []
+        for count in (3, 5, 3):
+            paths.append(tmp_path / f"amps{len(paths)}.csv")
+            assert main(["amplitudes", "-o", str(paths[-1]),
+                         "--set", f"amplitudes.e_count={count}"]) == 0
+        rows = [len(p.read_text(encoding="utf-8").splitlines()) for p in paths]
+        assert rows[1] == rows[0] + 2
+        assert paths[0].read_bytes() == paths[2].read_bytes()
 
 
 class TestAmplitudes:

@@ -374,10 +374,10 @@ class TestFusedComponents:
         # parts meet their targets and the faster interference part alone does not
         packet, pot = PacketSpec(100.0, 0.1, -10.0), PotentialSpec(-500.0, 90.0)
         window = QuadratureSpec().window_w / math.sqrt(2.0)  # dwell_total's window
-        seeded = spectral_rule(packet, "backward", pot.branch_energies(), 0.0, 20.0,
+        seeded = spectral_rule(packet, "both", pot.branch_energies(), 0.0, 20.0,
                                QuadratureSpec(window_w=window)).n_panels
         quad = QuadratureSpec(max_panels=seeded // 3)
-        rule = spectral_rule(packet, "backward", pot.branch_energies(), 0.0, 20.0,
+        rule = spectral_rule(packet, "both", pot.branch_energies(), 0.0, 20.0,
                              replace(quad, window_w=window))
         probe = rule.refine_against(lambda u: _dwell_densities(u, packet, pot))
         missed = probe.error_estimate > np.maximum(1e-8 * np.abs(probe.value), 1e-12)

@@ -19,7 +19,7 @@ from mstwell import (
     stationary_density,
     wave_at,
 )
-from mstwell import evolution, scattering
+from mstwell import evolution, quadrature, scattering
 from mstwell.evolution import (
     _exp_rows,
     _grid_offsets,
@@ -83,6 +83,33 @@ class TestDecomposition:
     def test_rejects_times_before_t0(self):
         with pytest.raises(ValueError):
             evolve(PACKET, FREE, [0.0], [0.0])
+
+
+class TestBackwardWindow:
+    def test_matches_the_hull_window(self, monkeypatch):
+        # the backward weight e^{-(u + u_perp)^2 sigma^2} falls below e^{-W^2}
+        # at u = W/sigma - u_perp; integrating on to u_perp + W/sigma (the
+        # hull of both windows) adds nothing above the target
+        x = np.linspace(-1.5, 2.5, 17)
+        times = [0.3, 0.6]
+        pot = PotentialSpec(10.0, 40.0)
+        field = evolve(PACKET, pot, x, times)
+        hull = quadrature.spectral_window
+
+        def old_window(u_perp, sigma_tilde, direction, window_w):
+            return hull(u_perp, sigma_tilde, "both", window_w)
+
+        monkeypatch.setattr(quadrature, "spectral_window", old_window)
+        ref = evolve(PACKET, pot, x, times)
+        scale = np.max(np.abs(ref.psi_bwd), axis=1, keepdims=True)
+        assert np.all(np.abs(field.psi_bwd - ref.psi_bwd) <= QuadratureSpec().rel_tol * scale)
+
+    def test_empty_window_gives_exact_zero(self):
+        # u_perp sigma = 20 >= W: the backward window is empty
+        field = evolve(PacketSpec(100.0, 2.0, -60.0), FREE, [-1.0, 0.25, 0.5, 2.0], [3.0])
+        assert np.all(np.isfinite(field.psi_fwd))
+        assert np.all(field.psi_bwd == 0.0)
+        assert np.all(field.converged)
 
 
 class TestDenseReference:

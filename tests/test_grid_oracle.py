@@ -18,7 +18,8 @@ from mstwell import (
     grid_for_scenario,
     initial_cutoff_packet,
 )
-from mstwell.grid import _CayleyStepper, _potential_on_grid
+from mstwell import grid
+from mstwell.grid import _CayleyStepper, _pade_denominator, _potential_on_grid
 
 # cheap scenario used throughout: moderate bandwidth, short flight
 PACKET = PacketSpec(100.0, 0.3, -6.0)
@@ -96,6 +97,21 @@ class TestEvolveGrid:
         n_steps = math.ceil(0.25 / g.dt)
         assert f.norm_drift <= 1e-8 * max(1.0, n_steps / 1000.0)
 
+    def test_one_stepper_per_gap(self, monkeypatch):
+        # every gap between samples factors Q once, however many steps it takes
+        built = []
+
+        class Counting(_CayleyStepper):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(grid, "_CayleyStepper", Counting)
+        g = grid_for_scenario(PACKET, BARRIER, 0.05)
+        f = evolve_grid(PACKET, BARRIER, g, [0.01, 0.03, 0.05])
+        assert len(built) == 3
+        assert f.time_steps > 3
+
     def test_sample_time_validation(self):
         g = grid_for_scenario(PACKET, FREE, 0.25)
         with pytest.raises(GridConfigError):
@@ -137,6 +153,23 @@ class TestCayleyStepper:
         ref = _dense_pade_step(v, dx, dt, psi)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert abs(np.linalg.norm(out) / np.linalg.norm(psi) - 1.0) <= 1e-13
+
+    def test_denominator_band_matches_dense(self):
+        # Q = I + Z/2 + Z^2/12 with Z = i dt H, H^2 truncated by both walls,
+        # on a grid whose potential jumps; the band holds all 81 entries of
+        # every row, the wall rows included
+        dx, dt, n = 0.05, 7.33e-4, 40
+        v = _potential_on_grid(BARRIER, dx * (np.arange(n) - 20))
+        inv = 1.0 / dx**2
+        ab = _pade_denominator(2.5 * inv + v, -4.0 / 3.0 * inv, inv / 12.0, dt)
+        z = 1j * dt * _dense_hamiltonian(v, dx)
+        dense = np.eye(n) + 0.5 * z + z @ z / 12.0
+        band = np.zeros_like(dense)
+        for i in range(n):
+            for j in range(max(0, i - 4), min(n, i + 5)):
+                band[i, j] = ab[8 + i - j, j]
+        assert np.max(np.abs(band - dense)) <= 1e-14 * np.max(np.abs(dense))
+        assert np.all(dense[np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > 4] == 0)
 
     def test_fourth_order_time_convergence(self):
         # against the exact discrete propagator exp(-iHt): halving dt

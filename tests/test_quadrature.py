@@ -161,7 +161,21 @@ class TestWindow:
     def test_backward_starts_at_zero(self):
         lo, hi = spectral_window(10.0, 1 / 3, "backward", 8.0)
         assert lo == 0.0
-        assert hi == pytest.approx(34.0)
+        assert hi == pytest.approx(14.0)
+
+    def test_backward_empty_when_weight_is_past_the_edge(self):
+        # u_perp sigma >= W: no u > 0 carries more than e^{-W^2} of the weight
+        assert spectral_window(10.0, 1.0, "backward", 8.0) == (0.0, 0.0)
+        rule = spectral_rule(PacketSpec(100.0, 1.0, -10.0), "backward", (), 0.0, 0.0,
+                             QuadratureSpec())
+        assert rule.n_panels == 0 and rule.u.size == 0
+        res = rule.refine_against(lambda u: np.ones_like(u), np.ones(0))
+        assert (res.value, res.error_estimate, res.converged) == (0.0, 0.0, True)
+        value, err = rule.integrate_separable(np.ones((2, 0, 1)), np.ones((0, 1, 3)))
+        assert np.all(value == 0.0) and np.all(err == 0.0) and value.shape == (2, 3)
+
+    def test_both_spans_the_hull(self):
+        assert spectral_window(10.0, 1 / 3, "both", 8.0) == (0.0, pytest.approx(34.0))
 
     def test_unknown_direction(self):
         with pytest.raises(ValueError):

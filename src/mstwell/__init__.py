@@ -45,7 +45,7 @@ from .grid import (
     grid_for_scenario,
     initial_cutoff_packet,
 )
-from .model import PotentialSpec, branch_sqrt, quartic_root
+from .model import PotentialSpec, branch_sqrt
 from .packet import (
     PacketSpec,
     backward_peak_ratio,

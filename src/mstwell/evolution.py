@@ -32,7 +32,8 @@ from .packet import PacketSpec, gaussian_weight
 from .quadrature import QuadratureError, QuadratureSpec, spectral_rule
 from .scattering import region_of, region_waves, wave_at
 
-# complex entries of one row chunk's product and left factor (~100 MB)
+# complex entries of one block's product and left factor (~100 MB), in
+# whole times: a block holds as many times as fit, and at least one
 _ENTRY_BUDGET = 6e6
 
 
@@ -231,44 +232,36 @@ def _plane_wave_sums(rule, waves, xs, x_scale, taus):
     product of a left factor c e^{-i tau u^2} A^{+-1}, one row per
     (time, x_a), and a right factor B^{+-1}, one column per x_b, where
     A = e^{i theta (x_a - x_offset)} and B = e^{i theta x_b};
-    ``SpectralRule.integrate_separable`` reduces the products over nodes.
+    ``SpectralRule.integrate_separable`` weighs the right factor once and
+    reduces the products over nodes, one block of whole times at a time.
     On a uniform slice (``_grid_offsets`` at the grid's round-off
     ``x_scale``) the tables and their inverses follow by recurrence
-    (``_exp_rows``), and on a uniform time grid so do the time phases, each
-    carried from the last time across row chunks: the component then takes
-    at most six exponentials per node (the first row and the step of A, B
-    and the time phase), whatever the numbers of x and t, and one complex
-    multiply per (table row or time, node, wave).  Returns (values,
-    per-panel error estimates).
+    (``_exp_rows``), and on a uniform time grid so do the time phases: the
+    component then takes at most six exponentials per node (the first row
+    and the step of A, B and the time phase), whatever the numbers of x and
+    t, and one complex multiply per (table row or time, node, wave).
+    Returns (values, per-panel error estimates).
     """
     c_in, c_out, theta, xoff = waves
     inverse = c_out is not None
     coeffs = np.stack([c_in, c_out], axis=-1) if inverse else c_in[:, None]
     x_a, x_b, (dx_a, dx_b) = _grid_offsets(xs, x_scale)
-    n_a, (n_u, terms) = x_a.size, coeffs.shape
-    a_tab = np.empty((n_a, n_u, terms), dtype=complex)
-    for k, row in enumerate(_exp_rows(1j * theta, x_a - xoff, dx_a, inverse)):
-        a_tab[k] = row
-    right = np.empty((n_u, terms, x_b.size), dtype=complex)
-    for k, row in enumerate(_exp_rows(1j * theta, x_b, dx_b, inverse)):
-        right[..., k] = row
+    a_tab = np.stack(list(_exp_rows(1j * theta, x_a - xoff, dx_a, inverse)))
+    right = np.stack(list(_exp_rows(1j * theta, x_b, dx_b, inverse)), axis=-1)
     phases = _exp_rows(-1j * (rule.u * rule.u), taus,
                        _uniform_step(taus, float(np.max(np.abs(taus)))))
-    it_phase = -1
-    n_rows = taus.size * n_a
-    chunk = max(1, int(_ENTRY_BUDGET // max(1, n_u * terms + 2 * rule.n_panels * x_b.size)))
-    psi = np.empty((n_rows, x_b.size), dtype=complex)
-    err = np.empty((n_rows, x_b.size), dtype=float)
-    for r0 in range(0, n_rows, chunk):
-        r1 = min(n_rows, r0 + chunk)
-        left = np.empty((r1 - r0, n_u, terms), dtype=complex)
-        for it in range(r0 // n_a, (r1 - 1) // n_a + 1):
-            if it > it_phase:  # a time's rows may continue from the last chunk
-                it_phase, phased = it, coeffs * next(phases)
-            lo, hi = max(r0, it * n_a), min(r1, (it + 1) * n_a)  # rows of time it
-            np.multiply(phased, a_tab[lo - it * n_a:hi - it * n_a], out=left[lo - r0:hi - r0])
-        psi[r0:r1], err[r0:r1] = rule.integrate_separable(left, right)
-    shape = (taus.size, n_a * x_b.size)
+    per_time = a_tab.size + 2 * rule.n_panels * x_a.size * x_b.size
+    n_times = max(1, int(_ENTRY_BUDGET // max(1, per_time)))
+
+    def left_blocks():
+        for t0 in range(0, taus.size, n_times):
+            left = np.empty((min(n_times, taus.size - t0),) + a_tab.shape, dtype=complex)
+            for rows in left:
+                np.multiply(coeffs * next(phases), a_tab, out=rows)
+            yield left.reshape(len(left) * x_a.size, *coeffs.shape)
+
+    psi, err = rule.integrate_separable(left_blocks(), right)
+    shape = (taus.size, x_a.size * x_b.size)
     return psi.reshape(shape)[:, :xs.size], err.reshape(shape)[:, :xs.size]
 
 

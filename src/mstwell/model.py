@@ -50,8 +50,3 @@ def branch_sqrt(z):
     """
     return np.sqrt(np.asarray(z, dtype=np.complex128) + 0j)
 
-
-def quartic_root(z):
-    """Branch-consistent fourth root: sqrt(branch_sqrt(z))."""
-    return np.sqrt(branch_sqrt(z))
-

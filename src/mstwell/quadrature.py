@@ -377,26 +377,30 @@ class SpectralRule:
         vals, errs = _panel_sums(np.moveaxis(fv, -1, 0), self.weights)
         return np.add.reduce(vals, axis=0), np.sum(errs, axis=0)
 
-    def integrate_separable(self, left, right):
+    def integrate_separable(self, lefts, right):
         """Integrate many sums of separable products from their factors on ``self.u``.
 
         Sample (r, c) integrates f_rc(u) = sum_s left[r, :, s] right[:, s, c],
-        with ``left`` of shape (rows, len(u), S) and ``right`` of shape
-        (len(u), S, cols).  The right factor takes both weight columns, and
-        one stacked matrix product gives every sample's Kronrod value and
-        Kronrod - Gauss difference on every panel; returns (value,
-        error_estimate) of shape (rows, cols), each summed over panels as
-        ``integrate_values`` sums them.
+        where ``lefts`` yields the left factor in blocks of rows, each of
+        shape (rows, len(u), S), and ``right`` has shape (len(u), S, cols).
+        The right factor takes both weight columns once; then one stacked
+        matrix product per block gives every sample's Kronrod value and
+        Kronrod - Gauss difference on every panel.  Returns (value,
+        error_estimate), the blocks' rows stacked in turn, of shape
+        (rows, cols), each summed over panels as ``integrate_values`` sums
+        them.
         """
-        rows, _, terms = left.shape
-        cols = right.shape[-1]
-        panels, nodes = self.n_panels, XGK.size
-        # panel p of the left factor is a strided view: no copy for matmul
-        lhs = left.reshape(rows, panels, nodes * terms).transpose(1, 0, 2)
-        rhs = right.reshape(panels, nodes, terms, 1, cols) * self.weights[:, :, None, :, None]
-        out = np.matmul(lhs, rhs.reshape(panels, nodes * terms, 2 * cols))
-        vals, errs = out[..., :cols], np.abs(out[..., cols:])
-        return np.add.reduce(vals, axis=0), np.add.reduce(errs, axis=0)
+        nodes, terms, cols = XGK.size, right.shape[1], right.shape[-1]
+        rhs = right.reshape(self.n_panels, nodes, terms, 1, cols) * self.weights[:, :, None, :, None]
+        rhs = rhs.reshape(self.n_panels, nodes * terms, 2 * cols)
+        vals, errs = [], []
+        for left in lefts:
+            # panel p of the left factor is a strided view: no copy for matmul
+            lhs = left.reshape(len(left), self.n_panels, nodes * terms).transpose(1, 0, 2)
+            out = np.matmul(lhs, rhs)
+            vals.append(np.add.reduce(out[..., :cols], axis=0))
+            errs.append(np.add.reduce(np.abs(out[..., cols:]), axis=0))
+        return np.concatenate(vals), np.concatenate(errs)
 
 
 def _chebyshev_lobatto(n):

@@ -8,9 +8,10 @@ two-step profile:
 * ``mst_compose`` builds them from single-step t-matrices resummed across
   the pair of interfaces.
 
-``region_waves`` turns the closed amplitudes into the flux-normalised
-scattering-state wave of each region, the one object behind the Green
-function, the space-time kernel, the packet evolution and the dwell time.
+``region_waves`` gives the flux-normalised scattering-state wave of each
+region, the one object behind the Green function, the space-time kernel,
+the packet evolution and the dwell time: the left region from r, the
+others straight from the amplitudes' common denominator.
 
 Both are complex-analytic in the energy with the retarded branch rule, so a
 single code path covers propagating, tunneling, and sub-threshold regimes.
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PotentialSpec, branch_sqrt, quartic_root
+from .model import PotentialSpec, branch_sqrt
 
 _M_OVER_IH2 = 1.0 / 2.0j  # m / (i hbar^2) in internal units
 
@@ -187,32 +188,33 @@ def region_of(x) -> str:
 
 
 def region_waves(region, u, potential: PotentialSpec):
-    """Flux-normalised forward scattering wave of one region at u = sqrt(E).
+    """Flux-normalised forward scattering wave of one region at u = sqrt(E) >= 0.
 
     Returns (c_in, c_out, theta, x_offset) with
     psi_u(x) = c_in e^{i theta xi} + c_out e^{-i theta xi}, xi = x - x_offset:
     a unit incident wave e^{iux} from the left, the reflected, inner and
     transmitted waves of the two-step profile, each scaled by
-    sqrt(v / v_region) so every region carries the incident flux.  The two
-    waves of a region share one wave number theta with opposite signs; the
-    right region has no counter-propagating wave, and there c_out is None.
-    The backward-moving (time-reversed) wave is the complex conjugate,
+    sqrt(v / v_region) so every region carries the incident flux.  The left
+    region takes r of ``amplitude_table``; the inner and right coefficients
+    come straight from its common denominator d (``amplitude_denominator``),
+    u (k_d + k_u)/(k_u d), u (k_u - k_d) e^{2i k_u}/(k_u d) and
+    2u e^{i k_u}/d, so no channel square root is taken and undone, and the
+    right wave stays finite at E = Delta.  The two waves of a region share
+    one wave number theta with opposite signs; the right region has no
+    counter-propagating wave, and there c_out is None.  The backward-moving
+    (time-reversed) wave is the complex conjugate,
     (conj(c_in), conj(c_out), -conj(theta), x_offset) in this format.
     """
     u = np.asarray(u, dtype=np.float64)
-    e = u * u
-    t, tp, rp, r, _ = amplitude_table(e, potential)
     if region == "left":
+        r = amplitude_table(u * u, potential)[3]
         return np.ones_like(u, dtype=complex), r, u + 0j, 0.0
+    _, ku, kd, e1, _, d = amplitude_denominator(u * u, potential)
     if region == "inside":
-        ku = branch_sqrt(e - potential.u_tilde)
-        # sqrt(v / v_u) = sqrt(u) / sqrt(k_u), fourth root fixing the branch
-        c = np.sqrt(u) / quartic_root(e - potential.u_tilde)
-        return c * tp, c * rp, ku, 0.0
+        c = u / (ku * d)
+        return c * (kd + ku), c * (ku - kd) * (e1 * e1), ku, 0.0
     if region == "right":
-        kd = branch_sqrt(e - potential.delta_tilde)
-        c = np.sqrt(u) / quartic_root(e - potential.delta_tilde)
-        return c * t, None, kd, 1.0
+        return 2.0 * u * e1 / d, None, kd, 1.0
     raise ValueError(f"unknown region {region!r}")
 
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from mstwell import PotentialSpec, probabilities
+from mstwell import PotentialSpec, evolution, probabilities
 from mstwell.cli import ConfigError, _build_parser, main, merge_config, parse_config_text
 
 # cheap oracle scenario shared by the comparison tests
@@ -179,6 +179,16 @@ class TestDensity:
         for r in rows:
             total, fwd, bwd, intf = map(float, r[2:6])
             assert total == pytest.approx(fwd + bwd + intf, rel=1e-12, abs=1e-300)
+
+    def test_byte_identical_reruns(self, tmp_path, monkeypatch):
+        # a budget of one entry gives every time a product of its own: three
+        # blocks per component
+        monkeypatch.setattr(evolution, "_ENTRY_BUDGET", 1)
+        args = self.ARGS + ["--set", "grid.t_count=3"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(args + ["-o", str(a)]) == 0
+        assert main(args + ["-o", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_sweep_writes_per_value_files(self, tmp_path):
         path = tmp_path / "sweep.csv"

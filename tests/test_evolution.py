@@ -235,10 +235,11 @@ class TestFactoredAssembly:
 
     @pytest.mark.parametrize("budget", [1, 1e5])
     def test_row_chunks(self, budget, monkeypatch):
-        # one row per product, and products that start and end inside a time
+        # products hold whole times: one each, then, by component, one
+        # each or two and then the last
         monkeypatch.setattr(evolution, "_ENTRY_BUDGET", budget)
         pot = PotentialSpec(10.0, 40.0)
-        field = evolve(PACKET, pot, np.linspace(-3.0, 4.0, 71), [0.3, 0.45])
+        field = evolve(PACKET, pot, np.linspace(-3.0, 4.0, 71), [0.25, 0.3, 0.35])
         _assert_matches_per_point_sums(field, PACKET, pot)
 
     def test_error_column_is_the_per_panel_sum(self):
@@ -287,16 +288,21 @@ def _count_refinements(monkeypatch):
     return splits
 
 
-def _count_amplitude_tables(monkeypatch):
-    """Record the number of energies of every amplitude_table call."""
-    table = scattering.amplitude_table
+def _count_amplitude_evaluations(monkeypatch):
+    """Record the number of energies of every evaluation of the amplitudes.
+
+    Every region wave takes one ``amplitude_denominator`` call, directly
+    (inside, right) or through ``amplitude_table`` (left), so counting the
+    denominator counts both routes once each.
+    """
+    denominator = scattering.amplitude_denominator
     energies = []
 
     def counting(e, potential):
         energies.append(np.size(e))
-        return table(e, potential)
+        return denominator(e, potential)
 
-    monkeypatch.setattr(scattering, "amplitude_table", counting)
+    monkeypatch.setattr(scattering, "amplitude_denominator", counting)
     return energies
 
 
@@ -307,7 +313,7 @@ class TestAmplitudesOncePerComponent:
 
     def test_unrefined_slice_evaluates_amplitudes_once(self, monkeypatch):
         splits = _count_refinements(monkeypatch)
-        energies = _count_amplitude_tables(monkeypatch)
+        energies = _count_amplitude_evaluations(monkeypatch)
         quad = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-10, window_w=5.0)
         evolve(PACKET, self.WELL, np.linspace(-18.0, 10.0, 281), [0.25], quad)
         assert splits == [False] * 6  # one probe per (region, direction), none split
@@ -317,7 +323,7 @@ class TestAmplitudesOncePerComponent:
         # panels seeded at 32 pi of phase each are split by the first probe,
         # so the second probe and the assembly re-evaluate the waves
         splits = _count_refinements(monkeypatch)
-        energies = _count_amplitude_tables(monkeypatch)
+        energies = _count_amplitude_evaluations(monkeypatch)
         quad = QuadratureSpec(phase_per_panel=32.0 * math.pi)
         x = np.linspace(-3.0, 4.0, 36)
         field = evolve(PACKET, self.WELL, x, [0.3, 0.5], quad)

@@ -195,8 +195,9 @@ LEVIN_CASES = [
 def test_levin_tail_matches_gauss_kronrod(potential, x, t):
     """The kernel's Levin tail on [u_c, u_far] against Gauss-Kronrod panels.
 
-    The reference takes 31-point Kronrod panels of pi/2 of phase each,
-    whose truncation error is far below round-off, and no refinement: its
+    The reference takes 31-point Kronrod panels of pi of phase each (31
+    nodes per pi, above the 30 of the 15-point pair on pi/2 panels), whose
+    truncation error is far below round-off, and no refinement: its
     Kronrod - Gauss estimate is dominated by the phases' round-off and
     would only drive it into the panel budget.  That round-off, eps of
     the largest phase times max |h|, is the floor.
@@ -206,7 +207,7 @@ def test_levin_tail_matches_gauss_kronrod(potential, x, t):
     res = levin_tail(h, beta, t, u_c, u_far, KERNEL_QUAD)
     assert res.converged
 
-    ref_spec = QuadratureSpec(phase_per_panel=math.pi / 2, max_panels=10**6)
+    ref_spec = QuadratureSpec(phase_per_panel=math.pi, max_panels=10**6)
     rule = SpectralRule(u_c, u_far, [], t, abs(beta), ref_spec)
     wave = h(rule.u) * np.exp(1j * beta * rule.u)
     ref, _ = rule.integrate_values((wave + np.conj(wave)) * np.exp(-1j * t * rule.u**2))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mstwell import PotentialSpec, branch_sqrt, quartic_root
+from mstwell import PotentialSpec, branch_sqrt
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e12, max_value=1e12)
 
@@ -63,16 +63,3 @@ class TestWaveNumber:
         assert np.all(k.real >= 0)
         np.testing.assert_allclose(k * k, e - v, rtol=0, atol=1e-9)
 
-
-class TestBranchRoots:
-    @given(z=finite)
-    def test_quartic_consistency(self, z):
-        r = quartic_root(z)[()]
-        assert abs(r * r - branch_sqrt(z)[()]) <= 1e-12 * max(1.0, abs(r) ** 2)
-        # fourth power closes the loop
-        assert abs(r**4 - z) <= 1e-9 * max(1.0, abs(z))
-
-    def test_negative_argument(self):
-        # sqrt(-1 + i0) = +i, so the fourth root sits at 45 degrees
-        r = quartic_root(-1.0)[()]
-        assert r == pytest.approx(complex(math.cos(math.pi / 4), math.sin(math.pi / 4)))

@@ -102,6 +102,34 @@ class TestClosedAmplitudes:
             assert abs(s.t) ** 2 == pytest.approx(expected, rel=1e-12)
             assert abs(s.t) ** 2 < 1.0
 
+    def test_reciprocity_through_the_mirrored_profile(self):
+        # incidence from the right (the Delta side) is incidence from the
+        # left on the mirrored profile (Delta, U, 0), solved here by interface
+        # matching: with the inner wave a e^{i k_u y} + b e^{-i k_u (y - 1)},
+        # unknowns (r, a, b, T) and e1 = e^{i k_u}, continuity of psi and
+        # psi' at y = 0 and y = 1 is a 4x4 linear system
+        rng = np.random.default_rng(19)
+        n_checked = 0
+        for _ in range(300):
+            u, d = rng.uniform(-200.0, 200.0), rng.uniform(0.0, 150.0)
+            e = d + rng.uniform(0.5, 300.0)  # E > Delta
+            if abs(e - u) < 0.5:
+                continue
+            k, ku, kd = (complex(np.sqrt(complex(e - v))) for v in (0.0, u, d))
+            e1 = np.exp(1j * ku)
+            system = np.array([
+                [-1.0, 1.0, e1, 0.0],
+                [kd, ku, -ku * e1, 0.0],
+                [0.0, e1, 1.0, -1.0],
+                [0.0, ku * e1, -ku, -k],
+            ])
+            r_m, _, _, t_m = np.linalg.solve(system, [1.0, kd, 0.0, 0.0])
+            t_mirror = np.sqrt(k / kd) * t_m
+            t = mw.amplitude_table(np.array([e]), PotentialSpec(u, d))[0][0]
+            assert abs(t_mirror - t) <= 1e-12 * abs(t)
+            n_checked += 1
+        assert n_checked > 250
+
     def test_free_limit(self):
         # transmitted wave is referenced at x = 1, so the free amplitude is
         # the accumulated phase e^{ik}, with no reflection anywhere
@@ -215,6 +243,50 @@ class TestRegionWaves:
                 if c_out is not None:
                     explicit = explicit + c_out * np.exp(-1j * theta * xi)
                 assert wave_at(waves, x)[0] == pytest.approx(explicit[0], rel=1e-14)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_inner_and_right_match_the_flux_normalised_route(self, seed):
+        # the flux-normalised amplitudes t', r', t of amplitude_table times
+        # sqrt(v / v_region) = sqrt(u) / sqrt(k_region), off the branch points
+        rng = np.random.default_rng(seed)
+        u_lvl, d_lvl = rng.uniform(-200.0, 200.0), rng.uniform(0.0, 150.0)
+        pot = PotentialSpec(u_lvl, d_lvl)
+        u = rng.uniform(0.1, 25.0, 2000)
+        e = u * u
+        u = u[(np.abs(e - u_lvl) > 1e-2) & (np.abs(e - d_lvl) > 1e-2)]
+        e = u * u
+        t, tp, rp, _, _ = mw.amplitude_table(e, pot)
+        for region, level, refs in (("inside", u_lvl, (tp, rp)), ("right", d_lvl, (t, None))):
+            scale = np.sqrt(u) / np.sqrt(mw.branch_sqrt(e - level))
+            c_in, c_out, theta, _ = region_waves(region, u, pot)
+            np.testing.assert_array_equal(theta, mw.branch_sqrt(e - level))
+            np.testing.assert_allclose(c_in, scale * refs[0], rtol=1e-12, atol=0)
+            if refs[1] is None:
+                assert c_out is None
+            else:
+                np.testing.assert_allclose(c_out, scale * refs[1], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("pot", [PotentialSpec(0.0, 0.0)] + [p for _, p in CASES])
+    def test_left_reflection_at_rest(self, pot):
+        # at u = 0 the flat profile transmits all and any other reflects all
+        r = region_waves("left", np.array([0.0]), pot)[1][0]
+        flat = pot.u_tilde == 0.0 and pot.delta_tilde == 0.0
+        assert r == pytest.approx(0.0 if flat else -1.0, abs=1e-14)
+
+    # well, barrier above and below the drop; Delta = u^2 exactly at u = 6, 4, 7
+    @pytest.mark.parametrize(
+        "pot", [PotentialSpec(-100.0, 36.0), PotentialSpec(80.0, 16.0), PotentialSpec(10.0, 49.0)]
+    )
+    def test_right_wave_finite_at_the_drop(self, pot):
+        # at E = Delta, k_d = 0: the exit wave is 2u e^{i k_u}/d, finite and
+        # the limit of its neighbours, which differ by O(k_d) ~ 1e-4 there
+        # (sqrt(u/k_d) t was 0 * inf = NaN)
+        u = math.sqrt(pot.delta_tilde) * (1.0 + np.array([-1e-10, 0.0, 1e-10]))
+        assert u[1] ** 2 == pot.delta_tilde
+        c_in = region_waves("right", u, pot)[0]
+        assert np.all(np.isfinite(c_in))
+        assert abs(c_in[1] - c_in[0]) < 1e-3 * abs(c_in[1])
+        assert abs(c_in[1] - c_in[2]) < 1e-3 * abs(c_in[1])
 
     def test_deep_evanescent_exit_is_finite(self):
         # far beyond the drop e^{i theta xi} underflows to 0 (theta = i kappa,

@@ -8,8 +8,10 @@ functions at a few sample times.  Uses a moderate-bandwidth packet on a
 short flight so the run finishes in well under a minute.
 
 Run:  python3 demos/oracle_cross_check.py
+Exits 1 when the fields differ by L2_rel >= 1e-3 at any sample time.
 """
 
+import sys
 import time
 from types import SimpleNamespace
 
@@ -47,12 +49,15 @@ def main():
     spectral = evolve(PACKET, POTENTIAL, x_sub, np.asarray(TIMES))
     print(f"spectral solve on {x_sub.size} points: {time.time() - t1:.1f}s")
 
+    failed = False
     for i, tv in enumerate(TIMES):
         l2 = compare(sub, spectral, "L2_rel", time_index=i)
         linf = compare(sub, spectral, "Linf_rel", time_index=i)
-        flag = "ok" if l2 < 1e-3 else "FAIL"
-        print(f"t={tv:.2f}  L2_rel={l2:.3e}  Linf_rel={linf:.3e}  [{flag}]")
+        ok = l2 < 1e-3  # a NaN distance fails too
+        failed |= not ok
+        print(f"t={tv:.2f}  L2_rel={l2:.3e}  Linf_rel={linf:.3e}  [{'ok' if ok else 'FAIL'}]")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -8,11 +8,14 @@ c_in(u) e^{i theta(u) xi} + c_out(u) e^{-i theta(u) xi}, xi = x - x_offset,
 times the time phase e^{-i tau u^2}, with x- and tau-independent amplitude
 arrays.  So one panel set, refined against a worst-phase probe point at the
 largest and the smallest time, serves every (x, t) sample, and the samples
-are reduced over nodes by one batched matrix product.  Its factors hold
+are reduced over nodes by batched matrix products.  Their factors hold
 plane-wave tables, one row per ~sqrt(n_x) offset of a uniform x slice, and
 the time phases, one row per time; on uniform grids every row follows from
 the last by one complex multiply per node, so a component takes at most
-six exponentials per node whatever the numbers of x and t.  The region
+six exponentials per node whatever the numbers of x and t.  Tables and
+products are built one cache-sized block of whole panels at a time (all
+times where they fit), and the panel sums carried from block to block give
+the same bits as one block of every panel.  The region
 waves themselves (and so the scattering amplitudes) are evaluated once per
 component on the rule's seeded nodes and shared by the probes and the
 assembly; only a probe that splits panels makes them evaluate again.  That
@@ -29,12 +32,13 @@ import numpy as np
 
 from .model import PotentialSpec
 from .packet import PacketSpec, gaussian_weight
-from .quadrature import QuadratureError, QuadratureSpec, spectral_rule
+from .quadrature import XGK, QuadratureError, QuadratureSpec, spectral_rule
 from .scattering import region_of, region_waves, wave_at
 
-# complex entries of one block's product and left factor (~100 MB), in
-# whole times: a block holds as many times as fit, and at least one
-_ENTRY_BUDGET = 6e6
+# complex entries of one x-assembly block (2 MiB, an L2 cache): its A and
+# B tables, weighted B, left factor and products, for whole panels with all
+# times where they fit, else for one panel and as many times as fit
+_ENTRY_BUDGET = 2 ** 17
 
 
 def packet_prefactor(packet: PacketSpec) -> complex:
@@ -225,43 +229,73 @@ def _exp_rows(rate, xs, dx=None, inverse=False):
         yield row
 
 
+def _fill(table, rows):
+    """Write the rows an iterator yields into table[0], table[1], ... in turn.
+
+    Takes exactly len(table) rows, so a recurrence can go on filling the
+    next table.  Returns ``table``.
+    """
+    for dst, row in zip(table, rows):
+        dst[...] = row
+    return table
+
+
 def _plane_wave_sums(rule, waves, xs, x_scale, taus):
     """Integrals of the component at every (time, x) of one region, shape (nt, nx).
 
     With x = x_a + x_b, each wave c e^{+-i theta xi} e^{-i tau u^2} is the
     product of a left factor c e^{-i tau u^2} A^{+-1}, one row per
     (time, x_a), and a right factor B^{+-1}, one column per x_b, where
-    A = e^{i theta (x_a - x_offset)} and B = e^{i theta x_b};
-    ``SpectralRule.integrate_separable`` weighs the right factor once and
-    reduces the products over nodes, one block of whole times at a time.
-    On a uniform slice (``_grid_offsets`` at the grid's round-off
-    ``x_scale``) the tables and their inverses follow by recurrence
-    (``_exp_rows``), and on a uniform time grid so do the time phases: the
-    component then takes at most six exponentials per node (the first row
-    and the step of A, B and the time phase), whatever the numbers of x and
-    t, and one complex multiply per (table row or time, node, wave).
+    A = e^{i theta (x_a - x_offset)} and B = e^{i theta x_b}.  Both are
+    built one block of whole panels at a time, sized to ``_ENTRY_BUDGET``
+    with all times where one panel with all times fits, and one panel and
+    as many times as fit otherwise; ``SpectralRule.integrate_separable``
+    weighs each block's right factor and carries the panel sums from block
+    to block.  On a uniform slice (``_grid_offsets`` at the grid's
+    round-off ``x_scale``) the tables and their inverses follow by
+    recurrence (``_exp_rows``), and on a uniform time grid so do the time
+    phases, carried from one time block to the next: a component then
+    takes at most six exponentials per node (the first row and the step of
+    A, B and the time phase), whatever the numbers of x and t and the
+    blocks, and one complex multiply per (table row or time, node, wave).
     Returns (values, per-panel error estimates).
     """
     c_in, c_out, theta, xoff = waves
     inverse = c_out is not None
-    coeffs = np.stack([c_in, c_out], axis=-1) if inverse else c_in[:, None]
+    terms = 2 if inverse else 1
     x_a, x_b, (dx_a, dx_b) = _grid_offsets(xs, x_scale)
-    a_tab = np.stack(list(_exp_rows(1j * theta, x_a - xoff, dx_a, inverse)))
-    right = np.stack(list(_exp_rows(1j * theta, x_b, dx_b, inverse)), axis=-1)
-    phases = _exp_rows(-1j * (rule.u * rule.u), taus,
-                       _uniform_step(taus, float(np.max(np.abs(taus)))))
-    per_time = a_tab.size + 2 * rule.n_panels * x_a.size * x_b.size
-    n_times = max(1, int(_ENTRY_BUDGET // max(1, per_time)))
+    dt = _uniform_step(taus, float(np.max(np.abs(taus))))
+    n_a, n_b, nodes = x_a.size, x_b.size, XGK.size
+    # entries per panel: A, B and the weighted B; per time and panel: the
+    # left factor, the products and their error moduli
+    fixed = nodes * terms * (n_a + 3 * n_b)
+    per_time = n_a * (nodes * terms + 3 * n_b)
+    budget = int(_ENTRY_BUDGET)
+    n_times = min(taus.size, max(1, (budget - fixed) // per_time))
+    n_panels = max(1, budget // (fixed + n_times * per_time))
+    rate_t = -1j * (rule.u * rule.u)
 
-    def left_blocks():
+    def lefts(coeffs, a_tab, phases):
         for t0 in range(0, taus.size, n_times):
-            left = np.empty((min(n_times, taus.size - t0),) + a_tab.shape, dtype=complex)
-            for rows in left:
-                np.multiply(coeffs * next(phases), a_tab, out=rows)
-            yield left.reshape(len(left) * x_a.size, *coeffs.shape)
+            phase = _fill(np.empty((min(n_times, taus.size - t0), len(coeffs), 1),
+                                   dtype=complex), phases)
+            left = np.multiply((coeffs * phase)[:, None], a_tab)
+            yield left.reshape(-1, *coeffs.shape)
 
-    psi, err = rule.integrate_separable(left_blocks(), right)
-    shape = (taus.size, x_a.size * x_b.size)
+    def blocks():
+        for p0 in range(0, rule.n_panels, n_panels):
+            panels = slice(p0, min(p0 + n_panels, rule.n_panels))
+            at = slice(panels.start * nodes, panels.stop * nodes)
+            coeffs = np.stack([c_in[at], c_out[at]], axis=-1) if inverse else c_in[at, None]
+            rate = 1j * theta[at]
+            a_tab = _fill(np.empty((n_a,) + coeffs.shape, dtype=complex),
+                          _exp_rows(rate, x_a - xoff, dx_a, inverse))
+            right = np.empty(coeffs.shape + (n_b,), dtype=complex)
+            _fill(np.moveaxis(right, -1, 0), _exp_rows(rate, x_b, dx_b, inverse))
+            yield panels, right, lefts(coeffs, a_tab, _exp_rows(rate_t[at], taus, dt))
+
+    psi, err = rule.integrate_separable(blocks(), (taus.size * n_a, n_b))
+    shape = (taus.size, n_a * n_b)
     return psi.reshape(shape)[:, :xs.size], err.reshape(shape)[:, :xs.size]
 
 

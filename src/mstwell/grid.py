@@ -235,7 +235,8 @@ def evolve_grid(
     """Fourth-order unitary evolution of the cutoff packet, sampled at t_samples.
 
     Sample times are hit exactly: each inter-sample gap is stepped with
-    dt' = gap / ceil(gap / dt) and its own factorization.
+    dt' = gap / ceil(gap / dt), by a factorization of its own unless the
+    previous gap took the same dt'.
     """
     t_samples = np.asarray(t_samples, dtype=float)
     if t_samples.size == 0 or np.any(np.diff(t_samples) <= 0):
@@ -260,10 +261,13 @@ def evolve_grid(
     norms = np.empty(t_samples.size)
     t_now = packet.t0_tilde
     time_steps = 0
+    dt = None
     for i, t_target in enumerate(t_samples):
         gap = float(t_target) - t_now
         n_steps = max(1, math.ceil(gap / grid.dt))
-        stepper = _CayleyStepper(v[1:-1], grid.dx, gap / n_steps)
+        if gap / n_steps != dt:
+            dt = gap / n_steps
+            stepper = _CayleyStepper(v[1:-1], grid.dx, dt)
         inner = psi[1:-1]
         for _ in range(n_steps):
             inner = stepper.step(inner)

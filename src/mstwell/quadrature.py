@@ -334,9 +334,9 @@ class SpectralRule:
     point and time of a region; building the refined panel set once against
     probe integrands (the worst-phase point) and reusing its nodes keeps the
     samples down to sums against ``weights`` (shape (panels, 31, 2), as
-    ``_panel_rule`` gives it), taken for all of them at once by
-    ``integrate_separable``; ``integrate_values`` takes them one sample per
-    row, the reference the batched form is tested against.
+    ``_panel_rule`` gives it), taken for all of them one block of panels at
+    a time by ``integrate_separable``; ``integrate_values`` takes them one
+    sample per row, the reference the batched form is tested against.
     """
 
     def __init__(self, lo, hi, u_breaks, t_scale, x_span, spec: QuadratureSpec):
@@ -357,14 +357,16 @@ class SpectralRule:
         """Adaptively refine the edges until ``probe_g`` converges.
 
         ``probe_g`` may return one value per node or a row of C.  ``fv``,
-        when given, holds its values on the current nodes ``self.u``, which
-        then take the place of its first call.  Returns the probe
-        QuadResult, and nodes are rebuilt on the final edges.
+        when given, holds its values on the current nodes ``self.u``;
+        otherwise the first round evaluates ``probe_g`` there.  Returns the
+        probe QuadResult; nodes are rebuilt on the final edges when a panel
+        split.
         """
-        first = None if fv is None else _panel_sums(fv, self.weights)
+        first = _panel_sums(probe_g(self.u) if fv is None else fv, self.weights)
         result, edges = adaptive_panels(probe_g, self.edges, self.spec, self.u_breaks, first)
-        self.edges = edges
-        self._build()
+        if edges.size != self.edges.size:
+            self.edges = edges
+            self._build()
         return result
 
     def integrate_values(self, fv):
@@ -377,30 +379,46 @@ class SpectralRule:
         vals, errs = _panel_sums(np.moveaxis(fv, -1, 0), self.weights)
         return np.add.reduce(vals, axis=0), np.sum(errs, axis=0)
 
-    def integrate_separable(self, lefts, right):
-        """Integrate many sums of separable products from their factors on ``self.u``.
+    def integrate_separable(self, blocks, shape):
+        """Integrate many sums of separable products from their factors, block by block.
 
-        Sample (r, c) integrates f_rc(u) = sum_s left[r, :, s] right[:, s, c],
-        where ``lefts`` yields the left factor in blocks of rows, each of
-        shape (rows, len(u), S), and ``right`` has shape (len(u), S, cols).
-        The right factor takes both weight columns once; then one stacked
-        matrix product per block gives every sample's Kronrod value and
-        Kronrod - Gauss difference on every panel.  Returns (value,
-        error_estimate), the blocks' rows stacked in turn, of shape
-        (rows, cols), each summed over panels as ``integrate_values`` sums
-        them.
+        Sample (r, c), of the (rows, cols) ``shape``, integrates
+        f_rc(u) = sum_s left[r, u, s] right[u, s, c] over ``self.u``.
+        ``blocks`` yields, in ascending panel order, (panels, right, lefts)
+        for a slice ``panels`` of whole panels: ``right`` of shape
+        (nodes, S, cols) on their nodes, and ``lefts`` yielding the left
+        factor on them in blocks of rows, in turn, each of shape
+        (rows, nodes, S).  The right factor takes both weight columns once
+        per panel block; then one stacked matrix product per row block
+        gives every sample's Kronrod value and Kronrod - Gauss difference on
+        every panel.  Running sums over the panels so far are added into
+        each block's first panel and the block reduced in panel order, so
+        samples sum over panels exactly as ``integrate_values`` sums them,
+        whatever the blocks (a lone sample of a row block is the exception:
+        numpy sums its panels pairwise within a block).  Returns (value,
+        error_estimate).
         """
-        nodes, terms, cols = XGK.size, right.shape[1], right.shape[-1]
-        rhs = right.reshape(self.n_panels, nodes, terms, 1, cols) * self.weights[:, :, None, :, None]
-        rhs = rhs.reshape(self.n_panels, nodes * terms, 2 * cols)
-        vals, errs = [], []
-        for left in lefts:
-            # panel p of the left factor is a strided view: no copy for matmul
-            lhs = left.reshape(len(left), self.n_panels, nodes * terms).transpose(1, 0, 2)
-            out = np.matmul(lhs, rhs)
-            vals.append(np.add.reduce(out[..., :cols], axis=0))
-            errs.append(np.add.reduce(np.abs(out[..., cols:]), axis=0))
-        return np.concatenate(vals), np.concatenate(errs)
+        nodes = XGK.size
+        vals, errs = np.zeros(shape, dtype=complex), np.zeros(shape)
+        for panels, right, lefts in blocks:
+            n_p, terms, cols = panels.stop - panels.start, right.shape[1], right.shape[-1]
+            rhs = (right.reshape(n_p, nodes, terms, 1, cols)
+                   * self.weights[panels, :, None, :, None])
+            rhs = rhs.reshape(n_p, nodes * terms, 2 * cols)
+            r0 = 0
+            for left in lefts:
+                rows = slice(r0, r0 + len(left))
+                r0 = rows.stop
+                # panel p of the left factor is a strided view: no copy for matmul
+                lhs = left.reshape(len(left), n_p, nodes * terms).transpose(1, 0, 2)
+                out = np.matmul(lhs, rhs)
+                val, err = out[..., :cols], np.abs(out[..., cols:])
+                if panels.start:
+                    val[0] += vals[rows]
+                    err[0] += errs[rows]
+                np.add.reduce(val, axis=0, out=vals[rows])
+                np.add.reduce(err, axis=0, out=errs[rows])
+        return vals, errs
 
 
 def _chebyshev_lobatto(n):

@@ -209,13 +209,22 @@ def region_waves(region, u, potential: PotentialSpec):
     if region == "left":
         r = amplitude_table(u * u, potential)[3]
         return np.ones_like(u, dtype=complex), r, u + 0j, 0.0
+    if region not in ("inside", "right"):
+        raise ValueError(f"unknown region {region!r}")
     _, ku, kd, e1, _, d = amplitude_denominator(u * u, potential)
-    if region == "inside":
-        c = u / (ku * d)
-        return c * (kd + ku), c * (ku - kd) * (e1 * e1), ku, 0.0
-    if region == "right":
-        return 2.0 * u * e1 / d, None, kd, 1.0
-    raise ValueError(f"unknown region {region!r}")
+    with np.errstate(invalid="ignore", divide="ignore"):
+        if region == "inside":
+            c = u / (ku * d)
+            c_in, c_out, theta, x_offset = c * (kd + ku), c * (ku - kd) * (e1 * e1), ku, 0.0
+        else:
+            c_in, c_out, theta, x_offset = 2.0 * u * e1 / d, None, kd, 1.0
+    at_rest = (u == 0) & (kd == 0)
+    if np.any(at_rest):
+        # E = Delta = 0, where d = 0 on the flat profile: psi_u is 1 there
+        # (t = 1) and 0 on any other (t = 0), as ``amplitude_table`` has it
+        c_in = np.where(at_rest, 1.0 * (ku == 0), c_in)
+        c_out = None if c_out is None else np.where(at_rest, 0.0, c_out)
+    return c_in, c_out, theta, x_offset
 
 
 def wave_at(waves, x):

@@ -1,6 +1,7 @@
 """Spectral time evolution: free limits, decomposition, and continuity."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -235,12 +236,39 @@ class TestFactoredAssembly:
 
     @pytest.mark.parametrize("budget", [1, 1e5])
     def test_row_chunks(self, budget, monkeypatch):
-        # products hold whole times: one each, then, by component, one
-        # each or two and then the last
+        # blocks of one panel and one time, then of a few panels with all times
         monkeypatch.setattr(evolution, "_ENTRY_BUDGET", budget)
         pot = PotentialSpec(10.0, 40.0)
         field = evolve(PACKET, pot, np.linspace(-3.0, 4.0, 71), [0.25, 0.3, 0.35])
         _assert_matches_per_point_sums(field, PACKET, pot)
+
+    def test_blocks_are_bit_identical(self, monkeypatch):
+        # one panel and one time per block; one panel and all times, or in
+        # the left region two and then the last (the time phase's recurrence
+        # carried between them); a few panels and all times; the default:
+        # the same bits in every region
+        pot = PotentialSpec(10.0, 40.0)
+        x, times = np.linspace(-3.0, 4.0, 71), [0.25, 0.3, 0.35]
+        ref = evolve(PACKET, pot, x, times)
+        for budget in (1, 2500, 1e4):
+            monkeypatch.setattr(evolution, "_ENTRY_BUDGET", budget)
+            field = evolve(PACKET, pot, x, times)
+            for name in ("psi_fwd", "psi_bwd", "error_estimate"):
+                assert np.array_equal(getattr(field, name), getattr(ref, name)), (budget, name)
+
+    def test_assembly_memory_is_bounded(self):
+        # one density_well slice: the blocks keep the traced peak to a few
+        # MiB (tables built at full width took ~18 MB)
+        quad = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-10, window_w=5.0)
+        args = (PACKET, PotentialSpec(-100.0, 0.0), np.linspace(-18.0, 10.0, 281), [0.3], quad)
+        evolve(*args)
+        tracemalloc.start()
+        try:
+            evolve(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20
 
     def test_error_column_is_the_per_panel_sum(self):
         # a loose tolerance leaves panel errors far above round-off, so the

@@ -112,6 +112,27 @@ class TestEvolveGrid:
         assert len(built) == 3
         assert f.time_steps > 3
 
+    def test_equal_gaps_share_one_stepper(self, monkeypatch):
+        # (t1, 2 t1) has two equal gaps: one factorization, and the second
+        # gap's steps are those of a stepper of its own, bit for bit
+        built = []
+
+        class Counting(_CayleyStepper):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(grid, "_CayleyStepper", Counting)
+        g = grid_for_scenario(PACKET, BARRIER, 0.04)
+        f = evolve_grid(PACKET, BARRIER, g, [0.02, 0.04])
+        assert len(built) == 1
+        n_steps = f.time_steps // 2
+        fresh = _CayleyStepper(*built[0])
+        inner = f.psi[0, 1:-1]
+        for _ in range(n_steps):
+            inner = fresh.step(inner)
+        assert np.array_equal(inner, f.psi[1, 1:-1])
+
     def test_sample_time_validation(self):
         g = grid_for_scenario(PACKET, FREE, 0.25)
         with pytest.raises(GridConfigError):

@@ -171,7 +171,7 @@ class TestWindow:
         assert rule.n_panels == 0 and rule.u.size == 0
         res = rule.refine_against(lambda u: np.ones_like(u), np.ones(0))
         assert (res.value, res.error_estimate, res.converged) == (0.0, 0.0, True)
-        value, err = rule.integrate_separable([np.ones((2, 0, 1))], np.ones((0, 1, 3)))
+        value, err = rule.integrate_separable([], (2, 3))
         assert np.all(value == 0.0) and np.all(err == 0.0) and value.shape == (2, 3)
 
     def test_both_spans_the_hull(self):
@@ -369,16 +369,26 @@ def _channel_root(c):
 def _assert_separable_matches_values(rule, f):
     """The stacked products of ``integrate_separable`` weigh nodes as ``integrate_values``.
 
-    Two blocks of left rows (1 and 2 f) stack their samples in turn.
+    Two blocks of two left rows (f, then 2 f) stack their samples in turn,
+    and blocks of one panel or of two halves of the panels sum them exactly
+    as one block of all panels does.
     """
     fv = np.asarray(f(rule.u), dtype=complex)
-    left = np.ones((1, rule.u.size, 1), dtype=complex)
-    sep, sep_err = rule.integrate_separable((left, 2.0 * left), fv[:, None, None])
+    nodes = XGK.size
+
+    def blocks(cuts):
+        for p0, p1 in zip(cuts[:-1], cuts[1:]):
+            left = np.ones((2, (p1 - p0) * nodes, 1), dtype=complex)
+            yield slice(p0, p1), fv[p0 * nodes:p1 * nodes, None, None], (left, 2.0 * left)
+
+    sep, sep_err = rule.integrate_separable(blocks([0, rule.n_panels]), (4, 1))
     value, err = rule.integrate_values(fv)
-    assert sep.shape == (2, 1)
     assert sep[0, 0] == pytest.approx(value, rel=1e-13)
     assert sep_err[0, 0] == pytest.approx(err, rel=1e-9)
-    assert sep[1, 0] == 2.0 * sep[0, 0] and sep_err[1, 0] == 2.0 * sep_err[0, 0]
+    assert np.all(sep[2:] == 2.0 * sep[:2]) and np.all(sep_err[2:] == 2.0 * sep_err[:2])
+    for cuts in (range(rule.n_panels + 1), [0, rule.n_panels // 2, rule.n_panels]):
+        blocked, blocked_err = rule.integrate_separable(blocks(list(cuts)), (4, 1))
+        assert np.array_equal(blocked, sep) and np.array_equal(blocked_err, sep_err)
 
 
 class TestGradedPanels:

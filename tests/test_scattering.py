@@ -273,6 +273,18 @@ class TestRegionWaves:
         flat = pot.u_tilde == 0.0 and pot.delta_tilde == 0.0
         assert r == pytest.approx(0.0 if flat else -1.0, abs=1e-14)
 
+    @pytest.mark.parametrize(
+        "pot", [PotentialSpec(0.0, 0.0), PotentialSpec(10.0, 0.0), PotentialSpec(-100.0, 0.0)]
+    )
+    def test_waves_at_rest(self, pot):
+        # at u = 0 = Delta, psi_u is 1 on the flat profile (where d = 0 made
+        # the inner and right waves 0/0) and 0 on any other: the u -> 0 limit
+        flat = pot.u_tilde == 0.0
+        for region, x in (("left", -0.4), ("inside", 0.6), ("right", 1.7)):
+            psi = wave_at(region_waves(region, np.array([0.0, 1e-8]), pot), x)
+            assert psi[0] == (1.0 if flat else 0.0)
+            assert abs(psi[1] - psi[0]) < 1e-4
+
     # well, barrier above and below the drop; Delta = u^2 exactly at u = 6, 4, 7
     @pytest.mark.parametrize(
         "pot", [PotentialSpec(-100.0, 36.0), PotentialSpec(80.0, 16.0), PotentialSpec(10.0, 49.0)]

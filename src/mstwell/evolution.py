@@ -2,25 +2,40 @@
 
 The wave function is assembled region by region from six spectral
 integrals: forward and backward components in each of the three regions.
-All six share the window machinery of the quadrature module; within one
-(region, direction) pair the integrand is the region wave
+All six share the window machinery of the quadrature module, with the
+window cut to the tolerance (``_window_spec``): forward at
+W = min(window_w, sqrt(ln(1/rel_tol)) + 1.5), past which the weight is
+below rel_tol e^{-3 sqrt(ln(1/rel_tol)) - 2.25}, and backward where its
+weight has fallen as far below its value at u = 0.
+Within one (region, direction) pair the integrand is the region wave
 c_in(u) e^{i theta(u) xi} + c_out(u) e^{-i theta(u) xi}, xi = x - x_offset,
 times the time phase e^{-i tau u^2}, with x- and tau-independent amplitude
-arrays.  So one panel set, refined against a worst-phase probe point at the
-largest and the smallest time, serves every (x, t) sample, and the samples
-are reduced over nodes by batched matrix products.  Their factors hold
-plane-wave tables, one row per ~sqrt(n_x) offset of a uniform x slice, and
-the time phases, one row per time; on uniform grids every row follows from
-the last by one complex multiply per node, so a component takes at most
-six exponentials per node whatever the numbers of x and t.  Tables and
-products are built one cache-sized block of whole panels at a time (all
-times where they fit), and the panel sums carried from block to block give
-the same bits as one block of every panel.  The region
-waves themselves (and so the scattering amplitudes) are evaluated once per
-component on the rule's seeded nodes and shared by the probes and the
-assembly; only a probe that splits panels makes them evaluate again.  That
-keeps dense space-time grids (needed for norm checks and
-the grid-solver comparison) tractable.
+arrays.  So one panel set, seeded at twice the spec's phase per panel and
+refined against a worst-phase probe point at the largest and the smallest
+time, serves every (x, t) sample, and the samples are reduced over nodes
+by batched matrix products.
+
+The tolerance, not the seeding, sets the node count: every sample's
+assembled Kronrod - Gauss estimate is held against its target,
+max(rel_tol max_x |psi(t)|, the probes' absolute floor).  A component
+whose estimate exceeds half of it anywhere (forward and backward share a
+sample's target) refines its rule against its worst sample and assembles
+again, for a few rounds; ``converged`` is then cleared on exactly the
+samples still over target, and on every sample of a component whose probe
+failed.
+
+The assembly's factors hold plane-wave tables, one row per ~sqrt(n_x)
+offset of a uniform x slice, and the time phases, one row per time; on
+uniform grids every row follows from the last by one complex multiply per
+node, so a component takes at most six exponentials per node whatever the
+numbers of x and t.  Tables and products are built one cache-sized block
+of whole panels at a time (all times where they fit), and the panel sums
+carried from block to block give the same bits as one block of every
+panel.  The region waves themselves (and so the scattering amplitudes) are
+evaluated once per component on the rule's seeded nodes and shared by the
+probes and the assembly; only a refinement that splits panels makes them
+evaluate again.  That keeps dense space-time grids (needed for norm checks
+and the grid-solver comparison) tractable.
 """
 
 from __future__ import annotations
@@ -32,8 +47,16 @@ import numpy as np
 
 from .model import PotentialSpec
 from .packet import PacketSpec, gaussian_weight
-from .quadrature import XGK, QuadratureError, QuadratureSpec, spectral_rule
+from .quadrature import XGK, QuadratureError, QuadratureSpec, SpectralRule, spectral_rule
 from .scattering import region_of, region_waves, wave_at
+
+# ``evolve`` seeds its rules at this multiple of the spec's phase_per_panel
+# (8 pi at the default): every sample is checked against its target, so the
+# seeds need not carry a margin for the samples the probes do not see
+_SEED_SCALE = 2.0
+# refinement rounds against a component's worst sample, after which the
+# samples still over target have ``converged`` cleared
+_ROUNDS = 3
 
 # complex entries of one x-assembly block (2 MiB, an L2 cache): its A and
 # B tables, weighted B, left factor and products, for whole panels with all
@@ -135,38 +158,68 @@ def _probe_spec(spec, packet):
     return replace(spec, abs_tol=max(spec.abs_tol, spec.rel_tol * scale))
 
 
+def _window_spec(spec, packet, direction):
+    """``spec`` with the window of ``direction`` cut to the tolerance.
+
+    The window ends where the weight has fallen e^{-W_tol^2} below its
+    largest value on u >= 0, W_tol = sqrt(ln(1/rel_tol)) + 1.5; there the
+    weight is below rel_tol e^{-3 sqrt(ln(1/rel_tol)) - 2.25} of that value.
+    Forward that is W = W_tol; the backward weight, centred at u = -u_perp,
+    is largest at u = 0, so W = sqrt(W_tol^2 + (sigma u_perp)^2).
+    ``spec.window_w`` bounds both.
+    """
+    w_tol = math.sqrt(-math.log(spec.rel_tol)) + 1.5
+    if direction == "backward":
+        w_tol = math.hypot(w_tol, packet.sigma_tilde * packet.u_perp)
+    return replace(spec, window_w=min(spec.window_w, w_tol))
+
+
 def _shared_rule(region, direction, x_probe, x_abs_max, taus, packet, potential, spec):
     """Rule of one (region, direction) component for every time in ``taus``.
 
-    Seeded and refined at the largest time, then refined against the
-    smallest (skipped when both are one time); each probe evaluates the
-    component at ``x_probe``.  The integrand pieces of ``_region_coeffs``
-    are evaluated once on the seeded nodes, where both probes read them
-    with their time phase, and again only when a probe split panels.
-    Returns the rule, the probes' QuadResults and those pieces on the
-    rule's final nodes, for ``_plane_wave_sums`` to assemble.
+    Seeded on the window of ``_window_spec`` at ``_SEED_SCALE`` times
+    ``spec.phase_per_panel`` and refined at the largest time, then refined
+    against the smallest (skipped when both are one time); each probe
+    evaluates the component at ``x_probe``.  The
+    integrand pieces of ``_region_coeffs`` are evaluated once on the seeded
+    nodes, where both probes read them with their time phase, and again
+    only when a probe split panels.  Returns the rule, the probes'
+    QuadResults and those pieces on the rule's final nodes, for
+    ``_plane_wave_sums`` to assemble.
     """
     tau_hi, tau_lo = max(taus), min(taus)
     x_span = _x_phase_span(region, x_abs_max, packet)
-    rule = spectral_rule(
-        packet, direction, potential.branch_energies(), tau_hi, x_span,
-        _probe_spec(spec, packet),
+    seed = replace(
+        _probe_spec(_window_spec(spec, packet, direction), packet),
+        phase_per_panel=_SEED_SCALE * spec.phase_per_panel,
     )
+    rule = spectral_rule(packet, direction, potential.branch_energies(), tau_hi, x_span, seed)
 
     def waves_on(u):
         return _region_coeffs(region, direction, u, packet, potential)
 
-    def probe(u, waves, tau):
-        return np.exp(-1j * (u * u) * tau) * wave_at(waves, x_probe)
-
     waves, probes = waves_on(rule.u), []
     for tau in dict.fromkeys((tau_hi, tau_lo)):
-        probes.append(rule.refine_against(
-            lambda u, tau=tau: probe(u, waves_on(u), tau), probe(rule.u, waves, tau)
-        ))
-        if waves[0].size != rule.u.size:  # the probe split panels
-            waves = waves_on(rule.u)
+        waves, probe = _refine_at(rule, waves_on, waves, x_probe, tau)
+        probes.append(probe)
     return rule, probes, waves
+
+
+def _refine_at(rule, waves_on, waves, x, tau, spec=None):
+    """Refine ``rule`` against the component at one sample (x, tau).
+
+    ``waves`` are the integrand pieces on the rule's nodes and ``waves_on``
+    evaluates them anywhere; ``spec``, when given, replaces the rule's
+    targets.  Returns the pieces on the final nodes, evaluated again only
+    when a panel split, and the probe's QuadResult.
+    """
+    def probe(u, waves):
+        return np.exp(-1j * (u * u) * tau) * wave_at(waves, x)
+
+    result = rule.refine_against(lambda u: probe(u, waves_on(u)), probe(rule.u, waves), spec)
+    if waves[0].size != rule.u.size:  # the probe split panels
+        waves = waves_on(rule.u)
+    return waves, result
 
 
 def _uniform_step(xs, scale):
@@ -299,20 +352,102 @@ def _plane_wave_sums(rule, waves, xs, x_scale, taus):
     return psi.reshape(shape)[:, :xs.size], err.reshape(shape)[:, :xs.size]
 
 
-def _component(region, direction, xs, x_scale, taus, packet, potential, spec):
-    """One spectral component for all x of a region at all times ``taus``.
+@dataclass
+class _Component:
+    """One (region, direction) integral at every sample of its region, in raw units.
 
-    ``x_scale`` is the largest |x| of the whole grid.  Returns (psi values,
-    error estimates), each of shape (nt, nx), and the converged flag of
-    both probes.
+    ``rule`` is its rule and ``waves`` the integrand pieces on the rule's
+    nodes; ``psi`` and ``err`` hold the values and error estimates, shape
+    (nt, nx) for the nx points of x[mask]; ``probes_converged`` is the flag
+    of both probes.
     """
+
+    region: str
+    direction: str
+    mask: np.ndarray
+    rule: SpectralRule
+    waves: tuple
+    psi: np.ndarray
+    err: np.ndarray
+    probes_converged: bool
+
+
+def _component(region, direction, mask, x, x_scale, taus, packet, potential, spec):
+    """One spectral component for all x[mask] of a region at all times ``taus``.
+
+    ``x_scale`` is the largest |x| of the whole grid.
+    """
+    xs = x[mask]
     x_probe = float(xs[np.argmax(np.abs(xs))])
     rule, probes, waves = _shared_rule(
         region, direction, x_probe, abs(x_probe), taus, packet, potential, spec
     )
     # the time phase e^{-i tau u^2} is folded in per time by the assembly
     psi, err = _plane_wave_sums(rule, waves, xs, x_scale, taus)
-    return psi, err, all(p.converged for p in probes)
+    return _Component(region, direction, mask, rule, waves, psi, err,
+                      all(p.converged for p in probes))
+
+
+def _targets(comps, shape, packet, spec):
+    """Per-time target of a sample's estimate, max(rel_tol max_x |psi(t)|, floor).
+
+    Raw units, as the components' ``psi``; the floor is the probes'
+    absolute target (``_probe_spec``).  Non-finite samples are left out
+    of the peak.
+    """
+    psi = np.zeros(shape, dtype=complex)
+    for comp in comps:
+        psi[:, comp.mask] += comp.psi
+    peak = np.max(np.abs(psi), axis=1, initial=0.0, where=np.isfinite(psi))
+    return np.maximum(spec.rel_tol * peak, _probe_spec(spec, packet).abs_tol)
+
+
+def _meet_targets(comp, x, x_scale, taus, packet, potential, goal):
+    """Refine a component's rule until every sample's estimate is within ``goal``.
+
+    ``goal`` is the per-time target of the component.  Each of at most
+    ``_ROUNDS`` rounds refines the rule against the sample furthest over
+    its target, to that target alone, and assembles the region again; the
+    rounds stop once every sample is within target or a round splits no
+    panel.
+    """
+    xs = x[comp.mask]
+
+    def waves_on(u):
+        return _region_coeffs(comp.region, comp.direction, u, packet, potential)
+
+    for _ in range(_ROUNDS):
+        # a non-finite sample cannot guide a refinement; the final check flags it
+        excess = np.where(np.isfinite(comp.err), comp.err, 0.0) / goal[:, None]
+        it, ix = np.unravel_index(np.argmax(excess), excess.shape)
+        if excess[it, ix] <= 1.0:
+            return
+        # an absolute target: the rel_tol term of the probe's target vanishes
+        target = replace(comp.rule.spec, rel_tol=np.finfo(float).tiny, abs_tol=goal[it])
+        panels = comp.rule.n_panels
+        comp.waves, _ = _refine_at(comp.rule, waves_on, comp.waves, xs[ix], taus[it], target)
+        if comp.rule.n_panels == panels:
+            return
+        comp.psi, comp.err = _plane_wave_sums(comp.rule, comp.waves, xs, x_scale, taus)
+
+
+def _components(packet, potential, x, taus, spec):
+    """Every (region, direction) component of the samples (x, taus) on its final rule.
+
+    Each is assembled on its probes' rule, then refined where a sample's
+    estimate exceeds half of the ``_targets`` of its time (forward and
+    backward share a sample's target) and assembled again.
+    """
+    x_scale = float(np.max(np.abs(x)))
+    comps = [
+        _component(region, direction, mask, x, x_scale, taus, packet, potential, spec)
+        for region, mask in _region_masks(x).items() if np.any(mask)
+        for direction in ("forward", "backward")
+    ]
+    half = 0.5 * _targets(comps, (taus.size, x.size), packet, spec)
+    for comp in comps:
+        _meet_targets(comp, x, x_scale, taus, packet, potential, half)
+    return comps
 
 
 def evolve(
@@ -324,12 +459,14 @@ def evolve(
 ) -> WaveField:
     """Evaluate the forward and backward wave function on a space-time grid.
 
-    Non-convergent quadrature never aborts the run: the affected samples
-    keep their best values with ``converged`` cleared and the achieved
-    error estimate recorded.
+    A sample is converged when its error estimate (forward plus backward)
+    is within max(rel_tol max_x |psi(t)|, the probes' absolute floor) and
+    the probes of both its components converged.  Non-convergent
+    quadrature never aborts the run: the affected samples keep their best
+    values with ``converged`` cleared and the achieved error estimate
+    recorded.
     """
-    if quad is None:
-        quad = QuadratureSpec()
+    spec = quad or QuadratureSpec()
     x = np.asarray(x_grid, dtype=float)
     t = np.asarray(t_grid, dtype=float)
     if np.any(t <= packet.t0_tilde):
@@ -340,21 +477,17 @@ def evolve(
     psi_bwd = np.zeros_like(psi_fwd)
     err = np.zeros((t.size, x.size), dtype=float)
     conv = np.ones((t.size, x.size), dtype=bool)
+    if not (x.size and t.size):
+        return WaveField(x, t, psi_fwd, psi_bwd, err, conv)
 
-    taus = t - packet.t0_tilde
-    x_scale = float(np.max(np.abs(x))) if x.size else 0.0
-    for region, mask in _region_masks(x).items():
-        if not (np.any(mask) and t.size):
-            continue
-        for direction, target in (("forward", psi_fwd), ("backward", psi_bwd)):
-            vals, errs, ok = _component(
-                region, direction, x[mask], x_scale, taus, packet, potential, quad
-            )
-            target[:, mask] = pref * vals
-            err[:, mask] += abs(pref) * errs
-            if not ok:
-                conv[:, mask] = False
-
+    comps = _components(packet, potential, x, t - packet.t0_tilde, spec)
+    for comp in comps:
+        psi = psi_fwd if comp.direction == "forward" else psi_bwd
+        psi[:, comp.mask] = pref * comp.psi
+        err[:, comp.mask] += abs(pref) * comp.err
+        conv[:, comp.mask] &= comp.probes_converged
+    goal = abs(pref) * _targets(comps, err.shape, packet, spec)
+    conv &= err <= goal[:, None]
     return WaveField(x, t, psi_fwd, psi_bwd, err, conv)
 
 

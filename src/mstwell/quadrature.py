@@ -353,17 +353,20 @@ class SpectralRule:
         self.u = u.ravel()
         self.n_panels = len(self.weights)
 
-    def refine_against(self, probe_g, fv=None):
+    def refine_against(self, probe_g, fv=None, spec=None):
         """Adaptively refine the edges until ``probe_g`` converges.
 
         ``probe_g`` may return one value per node or a row of C.  ``fv``,
         when given, holds its values on the current nodes ``self.u``;
-        otherwise the first round evaluates ``probe_g`` there.  Returns the
-        probe QuadResult; nodes are rebuilt on the final edges when a panel
-        split.
+        otherwise the first round evaluates ``probe_g`` there.  ``spec``,
+        when given, sets the targets in place of the rule's own.  Returns
+        the probe QuadResult; nodes are rebuilt on the final edges when a
+        panel split.
         """
         first = _panel_sums(probe_g(self.u) if fv is None else fv, self.weights)
-        result, edges = adaptive_panels(probe_g, self.edges, self.spec, self.u_breaks, first)
+        result, edges = adaptive_panels(
+            probe_g, self.edges, spec or self.spec, self.u_breaks, first
+        )
         if edges.size != self.edges.size:
             self.edges = edges
             self._build()

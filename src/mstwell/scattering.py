@@ -224,6 +224,11 @@ def region_waves(region, u, potential: PotentialSpec):
         # (t = 1) and 0 on any other (t = 0), as ``amplitude_table`` has it
         c_in = np.where(at_rest, 1.0 * (ku == 0), c_in)
         c_out = None if c_out is None else np.where(at_rest, 0.0, c_out)
+    if region == "inside" and potential.u_tilde == 0 and potential.delta_tilde != 0:
+        # E = U = 0 < Delta, where u/(k_u d) is 0/0: u/k_u -> 1 and d -> k_d,
+        # so c_in -> 1 and c_out -> -1 (psi_u -> 0 across the profile)
+        edge = u == 0
+        c_in, c_out = np.where(edge, 1.0 + 0j, c_in), np.where(edge, -1.0 + 0j, c_out)
     return c_in, c_out, theta, x_offset
 
 

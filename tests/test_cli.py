@@ -190,6 +190,23 @@ class TestDensity:
         assert main(args + ["-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_unmet_sample_targets_exit_2(self, tmp_path):
+        # CHEAP's packet and profile below the round-off floor of the
+        # estimates: some samples stay over target, and the file is still written
+        path = tmp_path / "dens.csv"
+        args = ["density"] + CHEAP[:6] + [
+            "--set", "grid.x_min=-3", "--set", "grid.x_max=4",
+            "--set", "grid.x_count=36",
+            "--set", "grid.t_min=0.1", "--set", "grid.t_max=0.2",
+            "--set", "grid.t_count=2",
+            "--set", "quad.rel_tol=3e-16", "--set", "quad.abs_tol=1e-30",
+            "--set", "quad.max_panels=2000",
+            "-o", str(path),
+        ]
+        assert main(args) == 2
+        assert len([ln for ln in path.read_text(encoding="utf-8").splitlines()
+                    if not ln.startswith("#")]) == 1 + 72
+
     def test_sweep_writes_per_value_files(self, tmp_path):
         path = tmp_path / "sweep.csv"
         args = self.ARGS + [

@@ -21,9 +21,12 @@ from mstwell import (
     wave_at,
 )
 from mstwell import evolution, quadrature, scattering
+from mstwell.cli import _axis, _build_objects, merge_config
 from mstwell.evolution import (
+    _components,
     _exp_rows,
     _grid_offsets,
+    _probe_spec,
     _region_masks,
     _shared_rule,
     packet_prefactor,
@@ -113,11 +116,17 @@ class TestBackwardWindow:
         assert np.all(field.converged)
 
 
+def _final_components(field, packet, pot, quad=None):
+    """The components ``evolve`` assembled ``field`` from, each on its final rule."""
+    taus = field.t_grid - packet.t0_tilde
+    return _components(packet, pot, field.x_grid, taus, quad or QuadratureSpec())
+
+
 class TestDenseReference:
     def test_x_assembly_matches_per_point_sums(self):
         # evolve builds c_in E + c_out / E in place for a whole x chunk; the
         # reference evaluates the region wave at one x at a time on the same
-        # refined rule.  The backward values cancel to ~1e-6 of the integral
+        # final rule.  The backward values cancel to ~1e-6 of the integral
         # of |integrand|, which is therefore the scale round-off is relative to.
         pot = PotentialSpec(10.0, 40.0)
         x = np.array([-1.5, -0.7, -0.1, 0.2, 0.5, 0.9, 1.1, 1.4, 2.0])
@@ -125,54 +134,42 @@ class TestDenseReference:
         tau = t - PACKET.t0_tilde
         field = evolve(PACKET, pot, x, [t])
         pref = packet_prefactor(PACKET)
-        for region, mask in _region_masks(x).items():
-            xs = x[mask]
-            x_probe = float(xs[np.argmax(np.abs(xs))])
-            for direction, psi in (("forward", field.psi_fwd), ("backward", field.psi_bwd)):
-                rule, _, waves = _shared_rule(
-                    region, direction, x_probe, abs(x_probe), (tau,),
-                    PACKET, pot, QuadratureSpec(),
-                )
-                phase = np.exp(-1j * (rule.u * rule.u) * tau)
-                for xv, value in zip(xs, psi[0, mask]):
-                    fv = phase * wave_at(waves, xv)
-                    dense, _ = rule.integrate_values(fv)
-                    mass, _ = rule.integrate_values(np.abs(fv))
-                    assert abs(value - pref * dense) <= 1e-13 * abs(pref) * mass
+        for comp in _final_components(field, PACKET, pot):
+            psi = field.psi_fwd if comp.direction == "forward" else field.psi_bwd
+            rule = comp.rule
+            phase = np.exp(-1j * (rule.u * rule.u) * tau)
+            for xv, value in zip(x[comp.mask], psi[0, comp.mask]):
+                fv = phase * wave_at(comp.waves, xv)
+                dense, _ = rule.integrate_values(fv)
+                mass, _ = rule.integrate_values(np.abs(fv))
+                assert abs(value - pref * dense) <= 1e-13 * abs(pref) * mass
 
 
 def _assert_matches_per_point_sums(field, packet, pot, quad=None):
     """Every sample of ``field`` against per-x sums on the rule evolve uses.
 
-    The rule of each (region, direction) is rebuilt for all of the field's
-    times; each sample is integrated from its own integrand values with
-    ``integrate_values``.  Values agree within 1e-13 of the integral of
+    The final rule of each (region, direction) is rebuilt for all of the
+    field's times; each sample is integrated from its own integrand values
+    with ``integrate_values``.  Values agree within 1e-13 of the integral of
     |integrand| (see TestDenseReference) and the error column within 1e-13
     of the integral of |integrand| |Kronrod - Gauss weight| / Kronrod weight.
     """
-    quad = quad or QuadratureSpec()
     pref = packet_prefactor(packet)
     taus = field.t_grid - packet.t0_tilde
     ref_err = np.zeros_like(field.error_estimate)
     err_mass = np.zeros_like(field.error_estimate)
-    for region, mask in _region_masks(field.x_grid).items():
-        xs = field.x_grid[mask]
-        if not xs.size:
-            continue
-        x_probe = float(xs[np.argmax(np.abs(xs))])
-        for direction, psi in (("forward", field.psi_fwd), ("backward", field.psi_bwd)):
-            rule, _, waves = _shared_rule(
-                region, direction, x_probe, abs(x_probe), taus, packet, pot, quad
-            )
-            for it, tau in enumerate(taus):
-                phase = np.exp(-1j * (rule.u * rule.u) * tau)
-                for ix, xv in zip(np.flatnonzero(mask), xs):
-                    fv = phase * wave_at(waves, xv)
-                    dense, err = rule.integrate_values(fv)
-                    mass, _ = rule.integrate_values(np.abs(fv))
-                    assert abs(psi[it, ix] - pref * dense) <= 1e-13 * abs(pref) * mass
-                    ref_err[it, ix] += abs(pref) * err
-                    err_mass[it, ix] += abs(pref) * mass
+    for comp in _final_components(field, packet, pot, quad):
+        psi = field.psi_fwd if comp.direction == "forward" else field.psi_bwd
+        rule = comp.rule
+        for it, tau in enumerate(taus):
+            phase = np.exp(-1j * (rule.u * rule.u) * tau)
+            for ix in np.flatnonzero(comp.mask):
+                fv = phase * wave_at(comp.waves, field.x_grid[ix])
+                dense, err = rule.integrate_values(fv)
+                mass, _ = rule.integrate_values(np.abs(fv))
+                assert abs(psi[it, ix] - pref * dense) <= 1e-13 * abs(pref) * mass
+                ref_err[it, ix] += abs(pref) * err
+                err_mass[it, ix] += abs(pref) * mass
     assert np.all(np.abs(field.error_estimate - ref_err) <= 1e-13 * err_mass)
     return ref_err
 
@@ -288,9 +285,9 @@ class TestFactoredAssembly:
 
         def failing_probe(nth):
             # the nth probe of every rule reports non-convergence
-            def probe(self, probe_g, fv=None):
+            def probe(self, probe_g, fv=None, spec=None):
                 self.probes_seen = getattr(self, "probes_seen", 0) + 1
-                result = refine(self, probe_g, fv)
+                result = refine(self, probe_g, fv, spec)
                 return replace(result, converged=result.converged and self.probes_seen != nth)
             return probe
 
@@ -302,14 +299,14 @@ class TestFactoredAssembly:
 
 
 def _count_refinements(monkeypatch):
-    """Record, per probe, whether it split panels of its rule."""
+    """Record, per probe, its rule's id and whether it split panels of the rule."""
     refine = SpectralRule.refine_against
     splits = []
 
-    def recording(self, probe_g, fv=None):
+    def recording(self, probe_g, fv=None, spec=None):
         before = self.n_panels
-        result = refine(self, probe_g, fv)
-        splits.append(self.n_panels > before)
+        result = refine(self, probe_g, fv, spec)
+        splits.append((id(self), self.n_panels > before))
         return result
 
     monkeypatch.setattr(SpectralRule, "refine_against", recording)
@@ -344,20 +341,118 @@ class TestAmplitudesOncePerComponent:
         energies = _count_amplitude_evaluations(monkeypatch)
         quad = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-10, window_w=5.0)
         evolve(PACKET, self.WELL, np.linspace(-18.0, 10.0, 281), [0.25], quad)
-        assert splits == [False] * 6  # one probe per (region, direction), none split
+        # one probe per (region, direction), none split
+        assert [split for _, split in splits] == [False] * 6
         assert len(energies) == 6
 
     def test_refined_rules_match_per_point_sums(self, monkeypatch):
-        # panels seeded at 32 pi of phase each are split by the first probe,
+        # panels seeded at 64 pi of phase each are split by the first probe,
         # so the second probe and the assembly re-evaluate the waves
         splits = _count_refinements(monkeypatch)
         energies = _count_amplitude_evaluations(monkeypatch)
         quad = QuadratureSpec(phase_per_panel=32.0 * math.pi)
         x = np.linspace(-3.0, 4.0, 36)
         field = evolve(PACKET, self.WELL, x, [0.3, 0.5], quad)
-        assert splits[0::2] == [True] * 6
+        first = {}
+        for rule, split in splits:
+            first.setdefault(rule, split)
+        assert list(first.values()) == [True] * 6
         assert len(energies) > 6
         _assert_matches_per_point_sums(field, PACKET, self.WELL, quad)
+
+
+def _sample_goal(field, packet, quad):
+    """Per-time target of a sample's estimate: max(rel_tol max_x |psi(t)|, floor)."""
+    peak = np.max(np.abs(field.psi_fwd + field.psi_bwd), axis=1)
+    floor = abs(packet_prefactor(packet)) * _probe_spec(quad, packet).abs_tol
+    return np.maximum(quad.rel_tol * peak, floor)
+
+
+class TestPerSampleTargets:
+    """``converged`` is judged on every sample's estimate, not on the probes alone."""
+
+    # test_cli's CHEAP scenario: at 8 pi seeds the right region's samples
+    # near x = 1.1 carry estimates up to ~1e3 times their target while the
+    # probes, at x = 4, converge
+    PACKET = PacketSpec(100.0, 0.3, -6.0)
+    POT = PotentialSpec(10.0, 40.0)
+    X = np.linspace(-3.0, 4.0, 71)
+    TIMES = [0.1, 0.2]
+
+    def test_refinement_meets_every_target(self, monkeypatch):
+        quad = QuadratureSpec(rel_tol=1e-8)
+        monkeypatch.setattr(evolution, "_ROUNDS", 0)
+        probes_only = evolve(self.PACKET, self.POT, self.X, self.TIMES, quad)
+        goal = _sample_goal(probes_only, self.PACKET, quad)[:, None]
+        over = probes_only.error_estimate > goal
+        assert np.any(over[:, self.X > 1.0]) and not np.any(over[:, self.X <= 1.0])
+        assert np.array_equal(probes_only.converged, ~over)
+
+        monkeypatch.setattr(evolution, "_ROUNDS", 3)
+        splits = _count_refinements(monkeypatch)
+        field = evolve(self.PACKET, self.POT, self.X, self.TIMES, quad)
+        # six rules with two probes each; the calls after them are rounds
+        assert len(splits) > 12 and any(split for _, split in splits[12:])
+        assert np.all(field.converged)
+        assert np.all(field.error_estimate <= _sample_goal(field, self.PACKET, quad)[:, None])
+        # where the probes' rules met the target, the rounds move the values
+        # by no more than the two components' targets
+        psi, psi0 = field.psi_fwd + field.psi_bwd, probes_only.psi_fwd + probes_only.psi_bwd
+        assert np.all(np.abs(psi - psi0)[~over] <= 2.0 * np.broadcast_to(goal, over.shape)[~over])
+
+    def test_non_finite_samples_are_flagged(self):
+        # inside a 1e6 barrier the inner tables overflow at some samples (ROADMAP
+        # item 3); those samples must neither set the targets nor stop the run
+        x = np.linspace(-1.0, 2.0, 31)
+        with np.errstate(all="ignore"):
+            field = evolve(PACKET, PotentialSpec(1e6, 0.0), x, [0.5])
+        finite = np.isfinite(field.psi_fwd) & np.isfinite(field.psi_bwd)
+        assert not np.any(field.converged[~finite])
+        assert np.all(finite[:, x < 0.0]) and np.all(field.converged[:, x < 0.0])
+
+    def test_unmet_targets_clear_exactly_their_samples(self):
+        # below the round-off floor of the Kronrod - Gauss differences no
+        # round meets the target; the panel budget keeps the rounds cheap
+        quad = QuadratureSpec(rel_tol=3e-16, abs_tol=1e-30, max_panels=2000)
+        field = evolve(self.PACKET, self.POT, np.linspace(-3.0, 4.0, 36), self.TIMES, quad)
+        over = field.error_estimate > _sample_goal(field, self.PACKET, quad)[:, None]
+        assert np.any(over) and not np.all(over)
+        assert np.array_equal(field.converged, ~over)
+
+
+class TestPresetAccuracy:
+    """Reduced density presets against a reference at rel_tol 1e-12 on 2 pi seeds.
+
+    Every column of the CSV (density, fwd, bwd, interference) must be within
+    rel_tol of its column max, and the estimate must cover every true error
+    above round-off.
+    """
+
+    REFERENCE = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-20, phase_per_panel=math.pi)
+
+    # figure1's backward column is ~1e-18 of the density: it holds only with
+    # the backward window cut from the backward weight's value at u = 0
+    @pytest.mark.parametrize("name, sets", [
+        ("figure1", ["potential.delta_tilde=50"]),
+        ("figure2", ["potential.delta_tilde=50"]),
+        ("figure3", ["grid.x_count=21"]),
+        ("figure4", ["grid.x_count=21"]),
+    ])
+    def test_columns_match_the_reference(self, name, sets):
+        cfg = merge_config(name, overrides=["grid.t_count=15"] + sets)
+        potential, packet, quad = _build_objects(cfg)
+        x, t = _axis(cfg, "grid.x"), _axis(cfg, "grid.t")
+        field = evolve(packet, potential, x, t, quad)
+        ref = evolve(packet, potential, x, t, self.REFERENCE)
+        assert np.all(field.converged) and np.all(ref.converged)
+        got, want = density(field), density(ref)
+        for column in ("total", "fwd", "bwd", "interference"):
+            a, b = getattr(got, column), getattr(want, column)
+            assert np.max(np.abs(a - b)) <= quad.rel_tol * np.max(np.abs(b)), column
+        psi, psi_ref = field.psi_fwd + field.psi_bwd, ref.psi_fwd + ref.psi_bwd
+        true = np.abs(psi - psi_ref)
+        above_round_off = true > 1e-13 * np.max(np.abs(psi_ref))
+        assert np.all(field.error_estimate[above_round_off] >= true[above_round_off])
 
 
 class TestExpRows:

@@ -285,6 +285,18 @@ class TestRegionWaves:
             assert psi[0] == (1.0 if flat else 0.0)
             assert abs(psi[1] - psi[0]) < 1e-4
 
+    @pytest.mark.parametrize("delta", [1.0, 40.0, 1e6])
+    def test_inner_wave_at_rest_under_a_drop(self, delta):
+        # at u = 0 = U < Delta, u/(k_u d) was 0/0; its limit is c_in = 1,
+        # c_out = -1, so psi_u = 0 across the profile, as its neighbours tend to
+        pot = PotentialSpec(0.0, delta)
+        c_in, c_out, _, _ = region_waves("inside", np.array([0.0, 1e-9]), pot)
+        assert (c_in[0], c_out[0]) == (1.0, -1.0)
+        assert abs(c_in[1] - 1.0) < 1e-6 and abs(c_out[1] + 1.0) < 1e-6
+        psi = wave_at(region_waves("inside", np.array([0.0, 1e-9]), pot), 0.5)
+        assert psi[0] == 0.0 and abs(psi[1]) < 1e-6
+        assert region_waves("inside", 0.0, pot)[0] == 1.0
+
     # well, barrier above and below the drop; Delta = u^2 exactly at u = 6, 4, 7
     @pytest.mark.parametrize(
         "pot", [PotentialSpec(-100.0, 36.0), PotentialSpec(80.0, 16.0), PotentialSpec(10.0, 49.0)]

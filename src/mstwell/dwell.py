@@ -28,7 +28,7 @@ import numpy as np
 
 from .model import PotentialSpec
 from .packet import PacketSpec, spectral_modulus
-from .quadrature import QuadratureSpec, spectral_rule
+from .quadrature import QuadratureSpec, spectral_rule, window_spec
 from .scattering import amplitude_denominator, region_waves, wave_at
 
 # Taylor coefficients of g(z) = (z - sin z)/z^3 in w = -z^2, highest power
@@ -144,14 +144,15 @@ def dwell_total(
     One rule over the hull of the forward and backward windows, seeded at
     the interference term's phase rate 2|x_i|, refines the three
     components as one vector integrand: each node costs one exit-side
-    evaluation, and each component meets its own target.  The densities
-    carry the squared weights, so W/(sigma sqrt 2) keeps the tail e^{-W^2}.
+    evaluation, and each component meets its own target.  The window is
+    cut to the tolerance as ``evolve`` cuts it (``window_spec``); the
+    densities carry the squared weights, so W/(sigma sqrt 2) keeps the tail
+    e^{-W^2}.
     """
-    if quad is None:
-        quad = QuadratureSpec()
+    spec = window_spec(quad or QuadratureSpec(), packet, "both")
     rule = spectral_rule(
         packet, "both", potential.branch_energies(), 0.0,
-        2.0 * abs(packet.x_i_tilde), replace(quad, window_w=quad.window_w / math.sqrt(2.0)),
+        2.0 * abs(packet.x_i_tilde), replace(spec, window_w=spec.window_w / math.sqrt(2.0)),
     )
     res = rule.refine_against(lambda u: _dwell_densities(u, packet, potential))
     fwd, bwd, interference = (float(v) for v in res.value.real)

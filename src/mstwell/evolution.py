@@ -3,10 +3,7 @@
 The wave function is assembled region by region from six spectral
 integrals: forward and backward components in each of the three regions.
 All six share the window machinery of the quadrature module, with the
-window cut to the tolerance (``_window_spec``): forward at
-W = min(window_w, sqrt(ln(1/rel_tol)) + 1.5), past which the weight is
-below rel_tol e^{-3 sqrt(ln(1/rel_tol)) - 2.25}, and backward where its
-weight has fallen as far below its value at u = 0.
+window cut to the tolerance as ``quadrature.window_spec`` cuts it.
 Within one (region, direction) pair the integrand is the region wave
 c_in(u) e^{i theta(u) xi} + c_out(u) e^{-i theta(u) xi}, xi = x - x_offset,
 times the time phase e^{-i tau u^2}, with x- and tau-independent amplitude
@@ -26,16 +23,17 @@ failed.
 
 The assembly's factors hold plane-wave tables, one row per ~sqrt(n_x)
 offset of a uniform x slice, and the time phases, one row per time; on
-uniform grids every row follows from the last by one complex multiply per
-node, so a component takes at most six exponentials per node whatever the
-numbers of x and t.  Tables and products are built one cache-sized block
-of whole panels at a time (all times where they fit), and the panel sums
-carried from block to block give the same bits as one block of every
-panel.  The region waves themselves (and so the scattering amplitudes) are
-evaluated once per component on the rule's seeded nodes and shared by the
-probes and the assembly; only a refinement that splits panels makes them
-evaluate again.  That keeps dense space-time grids (needed for norm checks
-and the grid-solver comparison) tractable.
+uniform grids each table is built by doubling, rows [k, 2k) from rows
+[0, k) and one power of the step, so a component takes at most six
+exponentials per node whatever the numbers of x and t.  Tables and
+products are built one cache-sized block of whole panels at a time (all
+times where they fit), and the panel sums carried from block to block
+give the same bits as one block of every panel.  The region waves
+themselves (and so the scattering amplitudes) are evaluated once per
+component on the rule's seeded nodes and shared by the probes and the
+assembly; only a refinement that splits panels makes them evaluate again.
+That keeps dense space-time grids (needed for norm checks and the
+grid-solver comparison) tractable.
 """
 
 from __future__ import annotations
@@ -47,7 +45,8 @@ import numpy as np
 
 from .model import PotentialSpec
 from .packet import PacketSpec, gaussian_weight
-from .quadrature import XGK, QuadratureError, QuadratureSpec, SpectralRule, spectral_rule
+from .quadrature import XGK, QuadratureError, QuadratureSpec, SpectralRule
+from .quadrature import spectral_rule, window_spec
 from .scattering import region_of, region_waves, wave_at
 
 # ``evolve`` seeds its rules at this multiple of the spec's phase_per_panel
@@ -158,26 +157,10 @@ def _probe_spec(spec, packet):
     return replace(spec, abs_tol=max(spec.abs_tol, spec.rel_tol * scale))
 
 
-def _window_spec(spec, packet, direction):
-    """``spec`` with the window of ``direction`` cut to the tolerance.
-
-    The window ends where the weight has fallen e^{-W_tol^2} below its
-    largest value on u >= 0, W_tol = sqrt(ln(1/rel_tol)) + 1.5; there the
-    weight is below rel_tol e^{-3 sqrt(ln(1/rel_tol)) - 2.25} of that value.
-    Forward that is W = W_tol; the backward weight, centred at u = -u_perp,
-    is largest at u = 0, so W = sqrt(W_tol^2 + (sigma u_perp)^2).
-    ``spec.window_w`` bounds both.
-    """
-    w_tol = math.sqrt(-math.log(spec.rel_tol)) + 1.5
-    if direction == "backward":
-        w_tol = math.hypot(w_tol, packet.sigma_tilde * packet.u_perp)
-    return replace(spec, window_w=min(spec.window_w, w_tol))
-
-
 def _shared_rule(region, direction, x_probe, x_abs_max, taus, packet, potential, spec):
     """Rule of one (region, direction) component for every time in ``taus``.
 
-    Seeded on the window of ``_window_spec`` at ``_SEED_SCALE`` times
+    Seeded on the window of ``window_spec`` at ``_SEED_SCALE`` times
     ``spec.phase_per_panel`` and refined at the largest time, then refined
     against the smallest (skipped when both are one time); each probe
     evaluates the component at ``x_probe``.  The
@@ -190,7 +173,7 @@ def _shared_rule(region, direction, x_probe, x_abs_max, taus, packet, potential,
     tau_hi, tau_lo = max(taus), min(taus)
     x_span = _x_phase_span(region, x_abs_max, packet)
     seed = replace(
-        _probe_spec(_window_spec(spec, packet, direction), packet),
+        _probe_spec(window_spec(spec, packet, direction), packet),
         phase_per_panel=_SEED_SCALE * spec.phase_per_panel,
     )
     rule = spectral_rule(packet, direction, potential.branch_energies(), tau_hi, x_span, seed)
@@ -257,39 +240,31 @@ def _grid_offsets(xs, scale):
     return xs[0] + (n_b * h) * np.arange(n_a), h * np.arange(n_b), (n_b * h, h)
 
 
-def _exp_rows(rate, xs, dx=None, inverse=False):
-    """Yield the rows e^{rate x}, x in ``xs``, in turn, each of shape (len(rate), 1).
+def _exp_table(rate, xs, dx=None, inverse=False):
+    """Table of e^{rate x}, x in ``xs``, shape (len(xs), len(rate), 1).
 
-    With ``inverse`` each row has shape (len(rate), 2), e^{-rate x} beside
+    With ``inverse`` the last axis has length 2, e^{-rate x} beside
     e^{rate x}.  With ``dx`` the xs step uniformly (xs_k = xs[0] + k dx up
-    to round-off) and the rows follow by recurrence: one exponential (and
-    reciprocal) for the first row and one for the step, then one complex
-    multiply per entry of each further row.  Without it every row takes
-    its own exponential.
+    to round-off) and the table is built by doubling: one exponential (and
+    reciprocal) for the first row and one for the step, then rows [k, 2k)
+    = rows [0, k) times step^k, the step squared only while rows remain,
+    so no power past the table's own span is formed.  Without it every row
+    takes its own exponential.
     """
     def exp(z):
         e = np.exp(z)
-        return np.stack([e, 1.0 / e], axis=-1) if inverse else e[:, None]
+        return np.stack([e, 1.0 / e], axis=-1) if inverse else e[..., None]
 
     if dx is None:
-        for x in xs:
-            yield exp(rate * x)
-        return
-    row, step = exp(rate * xs[0]), exp(rate * dx)
-    yield row
-    for _ in range(len(xs) - 1):
-        row = row * step
-        yield row
-
-
-def _fill(table, rows):
-    """Write the rows an iterator yields into table[0], table[1], ... in turn.
-
-    Takes exactly len(table) rows, so a recurrence can go on filling the
-    next table.  Returns ``table``.
-    """
-    for dst, row in zip(table, rows):
-        dst[...] = row
+        return exp(np.multiply.outer(xs, rate))
+    n = len(xs)
+    table = np.empty((n, len(rate), 2 if inverse else 1), dtype=complex)
+    table[0], step, k = exp(rate * xs[0]), exp(rate * dx), 1
+    while k < n:
+        np.multiply(table[:min(k, n - k)], step, out=table[k:2 * k])
+        k *= 2
+        if k < n:
+            step = step * step
     return table
 
 
@@ -299,19 +274,18 @@ def _plane_wave_sums(rule, waves, xs, x_scale, taus):
     With x = x_a + x_b, each wave c e^{+-i theta xi} e^{-i tau u^2} is the
     product of a left factor c e^{-i tau u^2} A^{+-1}, one row per
     (time, x_a), and a right factor B^{+-1}, one column per x_b, where
-    A = e^{i theta (x_a - x_offset)} and B = e^{i theta x_b}.  Both are
-    built one block of whole panels at a time, sized to ``_ENTRY_BUDGET``
-    with all times where one panel with all times fits, and one panel and
-    as many times as fit otherwise; ``SpectralRule.integrate_separable``
-    weighs each block's right factor and carries the panel sums from block
-    to block.  On a uniform slice (``_grid_offsets`` at the grid's
-    round-off ``x_scale``) the tables and their inverses follow by
-    recurrence (``_exp_rows``), and on a uniform time grid so do the time
-    phases, carried from one time block to the next: a component then
-    takes at most six exponentials per node (the first row and the step of
-    A, B and the time phase), whatever the numbers of x and t and the
-    blocks, and one complex multiply per (table row or time, node, wave).
-    Returns (values, per-panel error estimates).
+    A = e^{i theta (x_a - x_offset)} and B = e^{i theta x_b}.  The tables
+    and the time phases (``_exp_table``: by doubling on a uniform slice,
+    judged by ``_grid_offsets`` at the grid's round-off ``x_scale``, and on
+    a uniform time grid) are built one block of whole panels at a time,
+    sized to ``_ENTRY_BUDGET``: as many panels with all times as fit, else
+    one panel, its time phases sliced into as many times as fit.  Every
+    entry depends only on its node and row, so any blocking gives the same
+    bits, and a component takes at most six exponentials per node (the
+    first row and the step of A, B and the time phase).
+    ``SpectralRule.integrate_separable`` weighs each block's right factor
+    and carries the panel sums from block to block.  Returns (values,
+    per-panel error estimates).
     """
     c_in, c_out, theta, xoff = waves
     inverse = c_out is not None
@@ -328,24 +302,19 @@ def _plane_wave_sums(rule, waves, xs, x_scale, taus):
     n_panels = max(1, budget // (fixed + n_times * per_time))
     rate_t = -1j * (rule.u * rule.u)
 
-    def lefts(coeffs, a_tab, phases):
-        for t0 in range(0, taus.size, n_times):
-            phase = _fill(np.empty((min(n_times, taus.size - t0), len(coeffs), 1),
-                                   dtype=complex), phases)
-            left = np.multiply((coeffs * phase)[:, None], a_tab)
-            yield left.reshape(-1, *coeffs.shape)
-
     def blocks():
         for p0 in range(0, rule.n_panels, n_panels):
             panels = slice(p0, min(p0 + n_panels, rule.n_panels))
             at = slice(panels.start * nodes, panels.stop * nodes)
             coeffs = np.stack([c_in[at], c_out[at]], axis=-1) if inverse else c_in[at, None]
             rate = 1j * theta[at]
-            a_tab = _fill(np.empty((n_a,) + coeffs.shape, dtype=complex),
-                          _exp_rows(rate, x_a - xoff, dx_a, inverse))
-            right = np.empty(coeffs.shape + (n_b,), dtype=complex)
-            _fill(np.moveaxis(right, -1, 0), _exp_rows(rate, x_b, dx_b, inverse))
-            yield panels, right, lefts(coeffs, a_tab, _exp_rows(rate_t[at], taus, dt))
+            a_tab = _exp_table(rate, x_a - xoff, dx_a, inverse)
+            right = _exp_table(rate, x_b, dx_b, inverse)
+            phase = _exp_table(rate_t[at], taus, dt)
+            for t0 in range(0, taus.size, n_times):
+                t1 = min(t0 + n_times, taus.size)
+                left = np.multiply((coeffs * phase[t0:t1])[:, None], a_tab)
+                yield panels, slice(t0 * n_a, t1 * n_a), right, left.reshape(-1, *coeffs.shape)
 
     psi, err = rule.integrate_separable(blocks(), (taus.size * n_a, n_b))
     shape = (taus.size, n_a * n_b)
@@ -503,8 +472,7 @@ def psi_point(packet, potential, x, t, region, quad=None):
     Raises QuadratureError with the achieved value and estimate when a
     component does not converge, and ValueError for t <= t0_tilde.
     """
-    if quad is None:
-        quad = QuadratureSpec()
+    quad = quad or QuadratureSpec()
     if t <= packet.t0_tilde:
         raise ValueError("t must exceed t0_tilde")
     tau = t - packet.t0_tilde

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import erfc
 
 from .model import PotentialSpec, branch_sqrt
 from .quadrature import QuadratureError, QuadratureSpec, SpectralRule, levin_tail
@@ -91,6 +90,7 @@ def _gauss_fresnel_tail(u_c, tau, beta):
     the cutoff is chosen beyond the stationary point so the argument stays
     in the decaying half-plane.
     """
+    from scipy.special import erfc  # complex erfc; scipy.special is slow to import
     s = beta / (2.0 * tau)
     root = math.sqrt(tau) * np.exp(1j * math.pi / 4.0)
     return (

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .model import PotentialSpec
 from .packet import PacketSpec
@@ -207,6 +206,7 @@ class _CayleyStepper:
     """
 
     def __init__(self, v_grid, dx, dt):
+        from scipy.linalg import get_lapack_funcs  # only the grid oracle needs it
         inv = 1.0 / (dx * dx)
         d, a, b = 2.5 * inv + v_grid, -4.0 / 3.0 * inv, inv / 12.0
         gbtrf, self._gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), dtype=complex)

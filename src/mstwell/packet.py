@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,7 @@ def spectral_modulus(u, packet: PacketSpec, direction):
 def cutoff_tail_mass(packet: PacketSpec) -> float:
     """Probability mass of the initial Gaussian on x > 0 (cut away by the setup)."""
     z = abs(packet.x_i_tilde) / (math.sqrt(2.0) * packet.sigma_tilde)
-    return 0.5 * erfc(z)
+    return 0.5 * math.erfc(z)
 
 
 def backward_peak_ratio(packet: PacketSpec) -> float:

@@ -48,7 +48,7 @@ same splitting loop (``_refine_panels``) as the Gauss-Kronrod panels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -172,6 +172,22 @@ def spectral_window(u_perp, sigma_tilde, direction, window_w):
     if direction == "both":
         return 0.0, u_perp + half
     raise ValueError(f"unknown direction {direction!r}")
+
+
+def window_spec(spec, packet, direction):
+    """``spec`` with the window of ``direction`` cut to the tolerance.
+
+    The window ends where the weight has fallen e^{-W_tol^2} below its
+    largest value on u >= 0, W_tol = sqrt(ln(1/rel_tol)) + 1.5; there the
+    weight is below rel_tol e^{-3 sqrt(ln(1/rel_tol)) - 2.25} of that value.
+    Forward, and for the hull "both", that is W = W_tol; the backward
+    weight, centred at u = -u_perp, is largest at u = 0, so
+    W = sqrt(W_tol^2 + (sigma u_perp)^2).  ``spec.window_w`` bounds both.
+    """
+    w_tol = math.sqrt(-math.log(spec.rel_tol)) + 1.5
+    if direction == "backward":
+        w_tol = math.hypot(w_tol, packet.sigma_tilde * packet.u_perp)
+    return replace(spec, window_w=min(spec.window_w, w_tol))
 
 
 def phase_capped_edges(lo, hi, u_breaks, t_scale, x_span, phase_cap, max_panels):
@@ -386,41 +402,41 @@ class SpectralRule:
         """Integrate many sums of separable products from their factors, block by block.
 
         Sample (r, c), of the (rows, cols) ``shape``, integrates
-        f_rc(u) = sum_s left[r, u, s] right[u, s, c] over ``self.u``.
-        ``blocks`` yields, in ascending panel order, (panels, right, lefts)
-        for a slice ``panels`` of whole panels: ``right`` of shape
-        (nodes, S, cols) on their nodes, and ``lefts`` yielding the left
-        factor on them in blocks of rows, in turn, each of shape
-        (rows, nodes, S).  The right factor takes both weight columns once
-        per panel block; then one stacked matrix product per row block
-        gives every sample's Kronrod value and Kronrod - Gauss difference on
-        every panel.  Running sums over the panels so far are added into
-        each block's first panel and the block reduced in panel order, so
-        samples sum over panels exactly as ``integrate_values`` sums them,
-        whatever the blocks (a lone sample of a row block is the exception:
-        numpy sums its panels pairwise within a block).  Returns (value,
-        error_estimate).
+        f_rc(u) = sum_s left[r, u, s] right[c, u, s] over ``self.u``.
+        ``blocks`` yields (panels, rows, right, left) for a slice ``panels``
+        of whole panels and a slice ``rows`` of samples: ``right`` of shape
+        (cols, nodes, S) and ``left`` of shape (rows, nodes, S) on their
+        nodes; each row slice meets its panels in ascending order.  A right
+        factor takes both weight columns once for the consecutive blocks
+        that share it (the same array), in one pass along its nodes; then
+        one stacked matrix product gives the block's samples' Kronrod value
+        and Kronrod - Gauss difference on every panel.  Running sums over
+        the panels so far are added into each block's first panel and the
+        block reduced in panel order, so samples sum over panels exactly as
+        ``integrate_values`` sums them, whatever the blocks (a lone sample
+        of a row block is the exception: numpy sums its panels pairwise
+        within a block).  Returns (value, error_estimate).
         """
-        nodes = XGK.size
         vals, errs = np.zeros(shape, dtype=complex), np.zeros(shape)
-        for panels, right, lefts in blocks:
-            n_p, terms, cols = panels.stop - panels.start, right.shape[1], right.shape[-1]
-            rhs = (right.reshape(n_p, nodes, terms, 1, cols)
-                   * self.weights[panels, :, None, :, None])
-            rhs = rhs.reshape(n_p, nodes * terms, 2 * cols)
-            r0 = 0
-            for left in lefts:
-                rows = slice(r0, r0 + len(left))
-                r0 = rows.stop
-                # panel p of the left factor is a strided view: no copy for matmul
-                lhs = left.reshape(len(left), n_p, nodes * terms).transpose(1, 0, 2)
-                out = np.matmul(lhs, rhs)
-                val, err = out[..., :cols], np.abs(out[..., cols:])
-                if panels.start:
-                    val[0] += vals[rows]
-                    err[0] += errs[rows]
-                np.add.reduce(val, axis=0, out=vals[rows])
-                np.add.reduce(err, axis=0, out=errs[rows])
+        weighed = None
+        for panels, rows, right, left in blocks:
+            n_p, cols, terms = panels.stop - panels.start, len(right), right.shape[-1]
+            width = XGK.size * terms
+            if right is not weighed:
+                weighed = right
+                w = np.repeat(self.weights[panels].transpose(2, 0, 1), terms, axis=-1)
+                rhs = right.reshape(1, cols, n_p * width) * w.reshape(2, 1, n_p * width)
+                # panel p's (width, 2 cols) matrix is a transposed view: BLAS takes it as is
+                rhs = rhs.reshape(2 * cols, n_p, width).transpose(1, 2, 0)
+            # panel p of the left factor is a strided view: no copy for matmul
+            lhs = left.reshape(len(left), n_p, width).transpose(1, 0, 2)
+            out = np.matmul(lhs, rhs)
+            val, err = out[..., :cols], np.abs(out[..., cols:])
+            if panels.start:
+                val[0] += vals[rows]
+                err[0] += errs[rows]
+            np.add.reduce(val, axis=0, out=vals[rows])
+            np.add.reduce(err, axis=0, out=errs[rows])
         return vals, errs
 
 

@@ -78,6 +78,17 @@ class TestExitCodes:
         assert out.returncode == 0
 
 
+class TestColdStart:
+    def test_import_leaves_out_scipy_special_and_linalg(self):
+        # importing scipy.special alone takes about 0.25 s of a 0.5 s CLI
+        # start-up; only the kernel's Fresnel tail and the grid oracle need scipy
+        code = ("import sys, mstwell, mstwell.cli; "
+                "print([m for m in ('scipy.special', 'scipy.linalg') if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
+
+
 class TestParser:
     def test_built_once_and_calls_share_no_state(self, tmp_path):
         assert _build_parser() is _build_parser()

@@ -24,7 +24,7 @@ from mstwell import evolution, quadrature, scattering
 from mstwell.cli import _axis, _build_objects, merge_config
 from mstwell.evolution import (
     _components,
-    _exp_rows,
+    _exp_table,
     _grid_offsets,
     _probe_spec,
     _region_masks,
@@ -456,7 +456,7 @@ class TestPresetAccuracy:
 
 
 class TestExpRows:
-    """Rows e^{rate x} by recurrence against one exponential per row."""
+    """Rows e^{rate x} of ``_exp_table``, by doubling, against one exponential per row."""
 
     EPS = np.finfo(float).eps
     U = np.linspace(0.0, 60.0, 241)
@@ -467,16 +467,18 @@ class TestExpRows:
     }
 
     @pytest.mark.parametrize("kind", list(THETAS))
-    @pytest.mark.parametrize("rows", [1, 2, 5, 13, 20])
+    @pytest.mark.parametrize("rows", [1, 2, 5, 13, 20, 121])
     def test_recurrence_matches_direct_exp(self, kind, rows):
         theta = self.THETAS[kind]
         dx = 0.1 * 14  # a factored row step; rows reach 18 - 26.6 = -8.6
+        if rows == 121:
+            dx = 1.0 / 120.0  # figure3's time count (not a power of two) at its x step
         xs = 18.0 - dx * rows + dx * np.arange(rows)
         direct = np.exp(1j * np.multiply.outer(xs, theta))
         scale = max(1.0, float(np.max(np.abs(np.multiply.outer(xs, theta)))))
         for inverse, ref in ((False, direct[..., None]),
                              (True, np.stack([direct, 1.0 / direct], axis=-1))):
-            table = np.array(list(_exp_rows(1j * theta, xs, dx, inverse)))
+            table = _exp_table(1j * theta, xs, dx, inverse)
             assert table.shape == ref.shape
             assert np.all(np.abs(table - ref) <= 4.0 * rows * self.EPS * scale * np.abs(ref))
 
@@ -484,9 +486,22 @@ class TestExpRows:
         theta = self.THETAS["evanescent"]
         xs = np.array([-3.0, -0.25, 0.5, 4.0])
         direct = np.exp(1j * np.multiply.outer(xs, theta))
-        table = np.array(list(_exp_rows(1j * theta, xs, inverse=True)))
+        table = _exp_table(1j * theta, xs, inverse=True)
         np.testing.assert_allclose(table[..., 0], direct, rtol=self.EPS, atol=0.0)
         np.testing.assert_allclose(table[..., 1], 1.0 / direct, rtol=self.EPS, atol=0.0)
+
+    @pytest.mark.parametrize("rows", [5, 6, 8])
+    def test_no_power_past_the_span(self, rows):
+        # kappa dx = 100: the inverse rows reach e^{100 (rows - 1)} <= e^700,
+        # finite, but the step's next doubling, e^{100 * 2^ceil(log2 rows)},
+        # would overflow
+        kappa = np.array([100.0, 50.0])
+        xs = np.arange(rows, dtype=float)
+        with np.errstate(over="raise"):
+            table = _exp_table(-kappa, xs, 1.0, inverse=True)
+        ref = np.exp(np.multiply.outer(xs, kappa))
+        assert np.all(np.isfinite(table))
+        assert np.all(np.abs(table[..., 1] - ref) <= 4.0 * rows * self.EPS * 700.0 * ref)
 
 
 class TestPsiPoint:

@@ -379,7 +379,9 @@ def _assert_separable_matches_values(rule, f):
     def blocks(cuts):
         for p0, p1 in zip(cuts[:-1], cuts[1:]):
             left = np.ones((2, (p1 - p0) * nodes, 1), dtype=complex)
-            yield slice(p0, p1), fv[p0 * nodes:p1 * nodes, None, None], (left, 2.0 * left)
+            right = fv[None, p0 * nodes:p1 * nodes, None]
+            yield slice(p0, p1), slice(0, 2), right, left
+            yield slice(p0, p1), slice(2, 4), right, 2.0 * left
 
     sep, sep_err = rule.integrate_separable(blocks([0, rule.n_panels]), (4, 1))
     value, err = rule.integrate_values(fv)

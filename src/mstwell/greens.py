@@ -11,12 +11,12 @@ an oscillatory integral with no damping.  It is evaluated as: phase-capped
 adaptive panels up to a cutoff u_c past every stationary point, an exact
 complementary-error-function tail for the constant-amplitude incident wave,
 and, for the amplitude-modulated remainder, Levin collocation from u_c to
-u_far closed by integration-by-parts boundary terms at u_far.  Past u_c the
-phase has no stationary point, so the collocation nodes follow the slowly
-varying amplitude, not the chirp e^{-i tau u^2}; u_far doubles while the
-closure's error estimate exceeds its share of the target.  The head panels
-meet rel_tol of their own value; where the tails cancel part of it, they
-are refined once more against what the tails leave of the kernel's target.
+infinity: adaptive panels up to u_far, and past it the collocation
+solution's own end value (``levin_closure``).  Past u_c the phase has no
+stationary point, so the collocation nodes follow the slowly varying
+amplitude, not the chirp e^{-i tau u^2}.  The head panels meet rel_tol of
+their own value; where the tails cancel part of it, they are refined once
+more against what the tails leave of the kernel's target.
 
 Only sources left of the profile (x_src < 0) are exposed; that is the
 scattering scenario this package models.
@@ -30,15 +30,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import PotentialSpec, branch_sqrt
-from .quadrature import QuadratureError, QuadratureSpec, SpectralRule, levin_tail
+from .quadrature import QuadratureError, QuadratureSpec, SpectralRule, levin_closure, levin_tail
 from .scattering import region_of, region_waves, wave_at
 
 _JAC = 0.5 / math.pi  # the 1/pi of Re[...], split over a term and its conjugate
-
-# The tail's cutoff u_far doubles at most _MAX_DOUBLINGS times, until the
-# closure's error estimate is under _CLOSURE_SHARE of the kernel's target
-_MAX_DOUBLINGS = 3
-_CLOSURE_SHARE = 0.1
 
 
 class UnsupportedRegionError(ValueError):
@@ -101,27 +96,6 @@ def _gauss_fresnel_tail(u_c, tau, beta):
     )
 
 
-def _ibp_boundary(h5, beta, u5, tau):
-    """Int_{u_far}^inf h(u) e^{i phi(u)} du from two integration-by-parts terms.
-
-    ``h5`` samples the slowly varying amplitude h at the five points ``u5``
-    centred on u_far; phi = -tau u^2 + beta u is the full stationary phase.
-    Returns the boundary value and, as its error estimate, the magnitude of
-    the next term in the series.
-    """
-    du = u5[1] - u5[0]
-    u_far = u5[2]
-    dphi5 = -2.0 * tau * u5 + beta
-    q1 = h5 / (1j * dphi5)
-    q1p = (q1[2:] - q1[:-2]) / (2.0 * du)  # q1' at u_far - du, u_far, u_far + du
-    q2 = q1p / (1j * dphi5[1:4])
-    q2p = (q2[2] - q2[0]) / (2.0 * du)
-
-    phi = -tau * u_far * u_far + beta * u_far
-    pref = np.exp(1j * phi) / (1j * dphi5[2])
-    return pref * (-h5[2] + q1p[1]), abs(q2p / dphi5[2])
-
-
 def _paired(amp, tau):
     """Integrand [amp(u) + c.c.] e^{-i tau u^2} of a kernel term and its partner."""
 
@@ -130,43 +104,6 @@ def _paired(amp, tau):
         return (a + np.conj(a)) * np.exp(-1j * tau * u * u)
 
     return g
-
-
-def _closure(h, beta, u_far, tau):
-    """Both terms' integration-by-parts tails beyond u_far, and their estimate."""
-    u5 = u_far + 1e-3 * np.arange(-2.0, 3.0)
-    h5 = h(u5)
-    value, err = 0.0 + 0.0j, 0.0
-    for h_term, b in ((h5, beta), (np.conj(h5), -beta)):
-        b_val, b_err = _ibp_boundary(h_term, b, u5, tau)
-        value += b_val
-        err += b_err
-    return value, err
-
-
-def _modulated_tail(h, beta, u_c, u_far, tau, quad, rest):
-    """Tail beyond u_c of [h(u) e^{i beta u} + c.c.] e^{-i tau u^2}.
-
-    ``h`` is a slowly varying amplitude.  Levin collocation carries the
-    integral to u_far, where h and its conjugate are each closed by their
-    integration-by-parts boundary terms.  While the closure's estimate
-    exceeds _CLOSURE_SHARE of the kernel's target (``rest`` is the rest of
-    the kernel), u_far doubles and the collocation covers the added stretch.
-    Returns (value, error estimate, converged).
-    """
-    tail, err, converged = 0.0 + 0.0j, 0.0, True
-    lo = u_c
-    for _ in range(_MAX_DOUBLINGS + 1):
-        res = levin_tail(h, beta, tau, lo, u_far, quad)
-        tail += res.value
-        err += res.error_estimate
-        converged = converged and res.converged
-        close, close_err = _closure(h, beta, u_far, tau)
-        target = max(quad.rel_tol * abs(rest + tail + close), quad.abs_tol)
-        if close_err <= _CLOSURE_SHARE * target:
-            break
-        lo, u_far = u_far, 2.0 * u_far
-    return tail + close, err + close_err, converged
 
 
 def _kernel_terms(x, x_src, potential: PotentialSpec):
@@ -249,8 +186,10 @@ def propagate_kernel(
     if exact_beta is not None:
         rest += _JAC * _gauss_fresnel_tail(u_c, tau, exact_beta)
         rest += _JAC * _gauss_fresnel_tail(u_c, tau, -exact_beta)
-    tail, tail_err, tail_ok = _modulated_tail(h, beta, u_c, u_far, tau, quad, head_res.value + rest)
-    rest += tail
+    tail = levin_tail(h, beta, tau, u_c, u_far, quad)
+    close, close_err = levin_closure(h, beta, tau, u_far)
+    rest += tail.value + close
+    tail_err = tail.error_estimate + close_err
     value = head_res.value + rest
     tol = max(quad.rel_tol * abs(value), quad.abs_tol)
     budget = 0.5 * (tol - tail_err)
@@ -265,7 +204,7 @@ def propagate_kernel(
         head_res = head.refine_against(g)
         value = head_res.value + rest
     err = head_res.error_estimate + tail_err
-    converged = head_res.converged and tail_ok
+    converged = head_res.converged and tail.converged
 
     tol = max(quad.rel_tol * abs(value), quad.abs_tol)
     if not converged or err > tol:

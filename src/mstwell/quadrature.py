@@ -40,9 +40,9 @@ space-time kernel) seeds a rule, refines it against one integrand g(u)
 (the dwell's three components are one vector integrand) and, where many
 integrands share the window, reuses its nodes.  The one
 exception is the kernel's tail past its last stationary point, a chirp
-e^{-i tau u^2} over a slowly varying amplitude: ``levin_tail`` integrates
-it by Levin collocation on panels sized by the amplitude, refined by the
-same splitting loop (``_refine_panels``) as the Gauss-Kronrod panels.
+e^{-i tau u^2} over a slowly varying amplitude, which ``levin_tail``
+integrates by Levin collocation on panels sized by the amplitude (refined
+by ``_refine_panels``) and ``levin_closure`` carries on to infinity.
 """
 
 from __future__ import annotations
@@ -282,7 +282,9 @@ def adaptive_panels(g, edges, spec: QuadratureSpec, u_breaks=(), first=None):
     return _refine_panels(panel_eval, edges, spec, first)
 
 
-def _refine_panels(panel_eval, edges, spec: QuadratureSpec, first=None):
+def _refine_panels(
+    panel_eval, edges, spec: QuadratureSpec, first=None, splittable=lambda a, b: True
+):
     """Adaptive refinement of an initial panel set under a per-panel rule.
 
     ``panel_eval(a, b)`` returns the (value, error) of every panel [a, b],
@@ -290,11 +292,12 @@ def _refine_panels(panel_eval, edges, spec: QuadratureSpec, first=None):
     when given, stands in for its call on the initial panels.  Returns
     (QuadResult, final_edges); a vector integrand gets arrays of C values
     and estimates.  Each component has its own target
-    max(rel_tol |total_c|, abs_tol); refinement halves every panel whose
-    error in any component exceeds its share of that component's target,
-    keeping the panels in ascending order.  Iteration stops when every
-    component converges or the panel budget is exhausted (non-converged
-    result, no raise).
+    max(rel_tol |total_c|, abs_tol); refinement halves every panel, of
+    those ``splittable(a, b)`` marks, whose error in any component exceeds
+    its share of that component's target, keeping the panels in ascending
+    order.  Iteration stops when every component converges, the panel
+    budget is exhausted or no such panel is left (non-converged result, no
+    raise).
     """
     edges = np.asarray(edges, dtype=float)
     if edges.size < 2 or np.all(edges[1:] <= edges[:-1]):
@@ -310,7 +313,8 @@ def _refine_panels(panel_eval, edges, spec: QuadratureSpec, first=None):
         converged = bool(np.all(err_total <= tol))
         if converged or len(vals) >= spec.max_panels:
             break
-        split = np.flatnonzero(np.any(errs > 0.5 * tol / len(vals), axis=1))
+        over = np.any(errs > 0.5 * tol / len(vals), axis=1)
+        split = np.flatnonzero(over & splittable(edges[:-1], edges[1:]))
         if split.size == 0:
             break
         # panel i becomes [lo_i, mid_i] in place and [mid_i, hi_i] right after it
@@ -443,8 +447,7 @@ class SpectralRule:
 def _chebyshev_lobatto(n):
     """Lobatto nodes of degree n on [-1, 1] (ascending) and their differentiation matrix.
 
-    The sine form keeps the nodes exactly symmetric and makes every second
-    node of degree 2m bit-identical to the nodes of degree m.
+    The sine form keeps the nodes exactly symmetric.
     """
     j = np.arange(n + 1)
     s = np.sin(math.pi * (2 * j - n) / (2 * n))
@@ -454,37 +457,44 @@ def _chebyshev_lobatto(n):
     return s, d
 
 
-# Levin collocation nodes (degree 16) and the differentiation matrices of the
-# full set and of its degree-8 subset ``LEVIN_S[::2]``, the error estimate
+# Levin collocation nodes (degree 16) and their differentiation matrix
 LEVIN_S, _LEVIN_D = _chebyshev_lobatto(16)
-_LEVIN_D_HALF = _chebyshev_lobatto(8)[1]
+
+# The last two rows of the DCT-I at the nodes cos(pi (16 - j)/16): they take
+# values at ``LEVIN_S`` to the Chebyshev coefficients c_15 and c_16
+_LEVIN_TAIL = np.cos(math.pi * np.outer([15, 16], 16 - np.arange(17)) / 16) / [[8.0], [16.0]]
+_LEVIN_TAIL[:, [0, -1]] *= 0.5
 
 # Levin panels are seeded at this rise of the amplitudes' own phase
 # (``OSC_ALLOWANCE`` per unit u), about two of their periods a panel
 _LEVIN_PHASE = 4.0 * math.pi
 
+# Levin panels are halved only while the halves keep half-width times |phi'|
+# at least this: D is nilpotent, so below it D + i diag(half phi') has a
+# condition number past 1e15 and can be singular to working precision
+_LEVIN_MIN_SLOPE = 2.0
+
 
 def _levin_panels(h, beta, tau, a, b):
-    """Per-panel (value, error) of the paired Levin integrand; see ``levin_tail``."""
+    """Collocation solutions p of p' + i phi' p = h on the panels [a, b], for both terms.
+
+    Returns p at ``LEVIN_S``, shape (2, panels, 17), and e^{i phi} at the
+    panel ends, shape (2, panels, 2), for h e^{i beta u} and
+    conj(h) e^{-i beta u} under the shared chirp.
+    """
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     u = mid[:, None] + half[:, None] * LEVIN_S
     hu = np.asarray(h(u.ravel()), dtype=np.complex128).reshape(u.shape)
-    # the two terms h e^{i beta u} and conj(h) e^{-i beta u} share the chirp
     sign = np.array([1.0, -1.0])[:, None, None]
     slope = half[:, None] * (sign * beta - 2.0 * tau * u)  # half-width times phi'
+    # D p + i half phi' p = half h at the nodes: one batched solve for
+    # every panel and both terms
+    system = _LEVIN_D + 1j * slope[..., None] * np.eye(LEVIN_S.size)
     rhs = half[:, None] * np.stack([hu, np.conj(hu)])
+    p = np.linalg.solve(system, rhs[..., None])[..., 0]
     ends = np.stack([a, b], axis=-1)
     wave = np.exp(1j * beta * ends)
-    ends_phase = np.exp(-1j * tau * ends * ends) * np.stack([wave, np.conj(wave)])
-    vals = []
-    for d, nodes in ((_LEVIN_D, slice(None)), (_LEVIN_D_HALF, slice(None, None, 2))):
-        # D p + i half phi' p = half h at the nodes: one batched solve for
-        # every panel and both terms
-        system = d + 1j * slope[..., nodes, None] * np.eye(len(d))
-        p = np.linalg.solve(system, rhs[..., nodes, None])[..., 0]
-        vals.append(p[..., -1] * ends_phase[..., 1] - p[..., 0] * ends_phase[..., 0])
-    full, coarse = vals
-    return full[0] + full[1], np.abs(full - coarse).sum(axis=0)
+    return p, np.exp(-1j * tau * ends * ends) * np.stack([wave, np.conj(wave)])
 
 
 def levin_tail(h, beta, tau, lo, hi, spec: QuadratureSpec) -> QuadResult:
@@ -494,11 +504,37 @@ def levin_tail(h, beta, tau, lo, hi, spec: QuadratureSpec) -> QuadResult:
     varying amplitude h under phases phi = +-beta u - tau u^2 with no
     stationary point on [lo, hi]: on each panel [a, b] it solves
     p' + i phi' p = h at the Chebyshev-Lobatto nodes of degree 16, so the
-    panel integral is p(b) e^{i phi(b)} - p(a) e^{i phi(a)}; the same at the
-    degree-8 subset of the nodes gives, by its distance from it, the
-    panel's error estimate.  Panels are sized by h, which ``OSC_ALLOWANCE``
-    bounds, not by the phase, and refined as ``adaptive_panels`` refines.
+    panel integral is p(b) e^{i phi(b)} - p(a) e^{i phi(a)}; each term's
+    error estimate is 2 (|c_15| + |c_16|), from the two highest Chebyshev
+    coefficients of its p.  Panels are sized by h, which ``OSC_ALLOWANCE``
+    bounds, not by the phase, and refined as ``adaptive_panels`` refines,
+    down to ``_LEVIN_MIN_SLOPE`` (|phi'| >= 2 tau a - |beta| on [a, b]); a
+    target unmet there leaves the result not converged.
     """
+    def panel_eval(a, b):
+        p, ends = _levin_panels(h, beta, tau, a, b)
+        terms = p[..., -1] * ends[..., 1] - p[..., 0] * ends[..., 0]
+        return terms.sum(axis=0), 2.0 * np.abs(p @ _LEVIN_TAIL.T).sum(axis=(0, 2))
+
     edges = phase_capped_edges(lo, hi, [], 0.0, OSC_ALLOWANCE, _LEVIN_PHASE, spec.max_panels)
-    result, _ = _refine_panels(lambda a, b: _levin_panels(h, beta, tau, a, b), edges, spec)
-    return result
+    return _refine_panels(panel_eval, edges, spec, splittable=lambda a, b: (
+        0.25 * (b - a) * (2.0 * tau * a - abs(beta)) >= _LEVIN_MIN_SLOPE))[0]
+
+
+def levin_closure(h, beta, tau, hi):
+    """Int_hi^inf [h(u) e^{i beta u} + conj(h(u)) e^{-i beta u}] e^{-i tau u^2} du.
+
+    The slowly varying solution p of p' + i phi' p = h is the integration
+    by parts series summed, and it vanishes at infinity, so the integral is
+    -p(hi) e^{i phi(hi)}, summed over both terms.  p is the collocation
+    solution of ``levin_tail`` on a seed-width panel ending at hi, where
+    |phi'| must be large enough that it misses the homogeneous solution
+    e^{-i phi}.  Returns (value, error estimate): twice the distance from
+    the closure on the half-width panel, which resolves h better and
+    e^{-i phi} too, plus the phases' round-off eps |phi(hi)| |value|.
+    """
+    width = _LEVIN_PHASE / OSC_ALLOWANCE * np.array([1.0, 0.5])
+    p, ends = _levin_panels(h, beta, tau, hi - width, np.full(2, float(hi)))
+    full, half = -(p[..., -1] * ends[..., 1]).sum(axis=0)
+    phase = tau * hi * hi + abs(beta) * hi
+    return complex(full), 2.0 * abs(full - half) + np.finfo(float).eps * phase * abs(full)

@@ -19,7 +19,6 @@ from mstwell import (
     propagate_kernel,
     region_of,
 )
-from mstwell import greens
 from mstwell.greens import _cutoffs, _kernel_terms
 from mstwell.quadrature import OSC_ALLOWANCE, SpectralRule, levin_tail
 
@@ -142,27 +141,33 @@ class TestKernel:
         assert sample.error_estimate <= 1e-8 * abs(sample.value) + 1e-10
 
     @pytest.mark.parametrize(
-        "x, potential, closure_over_target",
+        "x, potential",
         [
-            (-0.3, WELL, False),
-            (-1.0, PotentialSpec(-1000.0, 0.0), True),
-            (-0.3, PotentialSpec(-1000.0, 0.0), True),
-            (0.3, PotentialSpec(-1000.0, 0.0), True),
+            (-0.3, WELL),
+            (-1.0, PotentialSpec(-1000.0, 0.0)),
+            (-0.3, PotentialSpec(-1000.0, 0.0)),
+            (0.3, PotentialSpec(-1000.0, 0.0)),
         ],
     )
-    def test_tail_cutoff_follows_the_tolerance(self, x, potential, closure_over_target,
-                                               monkeypatch):
-        # these raised with the cutoff fixed at the first u_far; one doubling
-        # brings the closure's estimate under its share of the target
+    def test_tail_cutoff_follows_the_tolerance(self, x, potential):
+        # at these points the tail past u_far must be closed well within the
+        # kernel's target (an integration-by-parts closure there missed it)
         sample = propagate_kernel(x, 0.1, -2.0, 0.0, potential, KERNEL_QUAD)
         assert sample.error_estimate <= 1e-8 * abs(sample.value)
-        if closure_over_target:
-            # at the first u_far the closure alone is 1.9 to 2.7 times the
-            # target (in the well it is 0.3 times, and refining the head
-            # against the kernel's target also leaves room for it)
-            monkeypatch.setattr(greens, "_MAX_DOUBLINGS", 0)
-            with pytest.raises(QuadratureError):
-                propagate_kernel(x, 0.1, -2.0, 0.0, potential, KERNEL_QUAD)
+
+    @pytest.mark.parametrize("rel_tol", [1e-10, 1e-12])
+    def test_unsplittable_levin_panels_raise_quadrature_error(self, rel_tol):
+        # near u_c, where |phi'| is 2, halving Levin panels drives
+        # half-width times |phi'| towards 0 and the collocation system to
+        # singular; refinement stops short of that and the kernel reports
+        # the unmet target with its value and estimate
+        quad = QuadratureSpec(rel_tol=rel_tol, abs_tol=1e-16)
+        with pytest.raises(QuadratureError) as info:
+            propagate_kernel(-1.0, 0.01, -2.0, 0.0, BARRIER, quad)
+        assert np.isfinite(info.value.value) and np.isfinite(info.value.error_estimate)
+        _, h, beta, _ = _kernel_terms(-1.0, -2.0, BARRIER)
+        u_c, u_far = _cutoffs(beta, 0.01, [math.sqrt(e) for e in BARRIER.branch_energies()])
+        assert not levin_tail(h, beta, 0.01, u_c, u_far, quad).converged
 
     @pytest.mark.parametrize(
         "x, t, x_src, potential", [(1.5, 0.5, -11.0, BARRIER), (-0.5, 0.25, -9.25, WELL)]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mstwell import PacketSpec, QuadratureSpec, spectral_rule, spectral_window
+from mstwell.greens import _cutoffs
 from mstwell.quadrature import (
     LEVIN_S,
     SMOOTH,
@@ -15,10 +16,12 @@ from mstwell.quadrature import (
     WGK,
     WGK_GRADED,
     XGK,
+    _LEVIN_TAIL,
     QuadratureError,
     SpectralRule,
     _chebyshev_lobatto,
     adaptive_panels,
+    levin_closure,
     levin_tail,
     phase_capped_edges,
 )
@@ -523,22 +526,27 @@ class TestVectorIntegrand:
 
 
 def _chirp(b, tau, lo, hi):
-    """Int_lo^hi e^{i b u - i tau u^2} du in closed form (scipy's complex erfc)."""
+    """Int_lo^hi e^{i b u - i tau u^2} du in closed form (scipy's complex erfc); hi may be inf."""
     from scipy.special import erfc
 
     root = math.sqrt(tau) * np.exp(0.25j * math.pi)
     shift = b / (2.0 * tau)
     pref = np.exp(1j * b * b / (4.0 * tau)) * math.sqrt(math.pi) / (2.0 * root)
-    return pref * (erfc(root * (lo - shift)) - erfc(root * (hi - shift)))
+    upper = 0.0 if math.isinf(hi) else erfc(root * (hi - shift))
+    return pref * (erfc(root * (lo - shift)) - upper)
 
 
 class TestLevin:
     """Levin collocation for the paired chirp integrals of the kernel tail."""
 
-    def test_half_degree_nodes_are_every_second_node(self):
-        s8, _ = _chebyshev_lobatto(8)
-        assert np.array_equal(LEVIN_S[::2], s8)
+    def test_nodes_are_symmetric(self):
         assert np.array_equal(LEVIN_S, -LEVIN_S[::-1])
+
+    def test_tail_rows_give_the_top_chebyshev_coefficients(self):
+        # the estimate's closed-form DCT-I rows pick c_15 and c_16 out of
+        # the values of T_0 ... T_16 at the nodes
+        chebyshev = np.cos(np.outer(np.arange(17), np.arccos(LEVIN_S)))
+        np.testing.assert_allclose(chebyshev @ _LEVIN_TAIL.T, np.eye(17)[:, 15:], atol=1e-14)
 
     def test_differentiation_exact_on_polynomials(self):
         s, d = _chebyshev_lobatto(16)
@@ -556,6 +564,19 @@ class TestLevin:
         exact = a * _chirp(rate, tau, lo, hi) + np.conj(a) * _chirp(-rate, tau, lo, hi)
         assert res.converged
         assert abs(res.value - exact) <= res.error_estimate + 1e-13
+
+    @pytest.mark.parametrize("tau", [0.01, 0.1, 1.0])
+    @pytest.mark.parametrize("gamma", [0.0, 2.0, -2.5])
+    def test_closure_matches_chirp_tail(self, gamma, tau):
+        # the tail to infinity past the kernel's u_far, where h = a e^{i gamma u}
+        # makes both terms plain chirps; the floor is the phases' round-off
+        a, beta = 0.3 - 0.1j, 3.0
+        hi = _cutoffs(beta, tau, [])[1]
+        value, err = levin_closure(lambda u: a * np.exp(1j * gamma * u), beta, tau, hi)
+        rate = beta + gamma
+        exact = a * _chirp(rate, tau, hi, math.inf) + np.conj(a) * _chirp(-rate, tau, hi, math.inf)
+        floor = np.finfo(float).eps * (tau * hi * hi + beta * hi) * abs(a)
+        assert abs(value - exact) <= err + floor
 
     def test_zero_amplitude(self):
         res = levin_tail(lambda u: np.zeros_like(u, dtype=complex), 2.0, 0.3, 40.0, 300.0,
